@@ -18,10 +18,8 @@
 // engine's analysis counters. The per-job latency delta is reported but
 // not gated (it is machine noise on a loaded CI box; the dispatch-count
 // reduction is the structural claim).
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -136,89 +134,6 @@ int main() {
   gate.check_eq(static_cast<long long>(stream_stats.analyses_reused),
                 static_cast<long long>(reused),
                 "per-ticket 'reused' attribution sums to the engine counter");
-
-  // ---- C: adaptive hold window on synthetic traffic ----------------------
-  // The adaptive-delay policy derives the hold from the observed arrival
-  // rate: a burst (near-zero gaps) should coalesce hard, a sparse stream
-  // (gaps >> window/8) should dispatch every job alone with ~zero added
-  // latency. A raw SubmissionQueue with a trivial dispatch function keeps
-  // the measurement about queue behavior, not engine execution time.
-  const auto echo_dispatch = [](std::vector<engine::Job> stream_jobs) {
-    std::vector<engine::JobResult> results;
-    for (const engine::Job& job : stream_jobs) {
-      engine::JobResult r;
-      r.job = job.resolved_name();
-      r.success = true;
-      results.push_back(std::move(r));
-    }
-    return results;
-  };
-  engine::CoalescePolicy adaptive;
-  adaptive.flush_on_idle = false;
-  adaptive.max_delay_ms = 120;
-  adaptive.adaptive_delay = true;
-
-  {
-    engine::SubmissionQueue queue(echo_dispatch, adaptive);
-    std::vector<engine::Ticket> tickets;
-    for (int i = 0; i < 16; ++i)
-      tickets.push_back(queue.submit(engine::Job::from_workload("small_example")));
-    for (engine::Ticket& t : tickets) t.wait();
-    const engine::SubmissionStats s = queue.stats();
-    std::printf("\nadaptive hold, bursty stream: 16 back-to-back submits -> %llu "
-                "dispatches (%llu coalesced)\n",
-                static_cast<unsigned long long>(s.dispatches),
-                static_cast<unsigned long long>(s.coalesced_dispatches));
-    gate.info("adaptive bursty dispatches", static_cast<double>(s.dispatches));
-    gate.check(s.dispatches < 16,
-               "adaptive hold coalesces a bursty stream (dispatches < jobs)");
-    gate.check(s.coalesced_dispatches >= 1,
-               "adaptive bursty stream shared at least one dispatch");
-  }
-
-  {
-    engine::SubmissionQueue queue(echo_dispatch, adaptive);
-    double total_wait_ms = 0.0;
-    const int sparse_jobs = 8;
-    for (int i = 0; i < sparse_jobs; ++i) {
-      if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(40));
-      Timer t;
-      engine::Ticket ticket =
-          queue.submit(engine::Job::from_workload("small_example"));
-      ticket.wait();
-      total_wait_ms += t.millis();
-    }
-    const engine::SubmissionStats s = queue.stats();
-    const double mean_wait_ms = total_wait_ms / sparse_jobs;
-    std::printf("adaptive hold, sparse stream: %d submits at 40 ms gaps -> %llu "
-                "dispatches, %.2f ms mean submit-to-result\n",
-                sparse_jobs, static_cast<unsigned long long>(s.dispatches),
-                mean_wait_ms);
-    gate.info("adaptive sparse mean wait ms", mean_wait_ms);
-    gate.check_eq(static_cast<long long>(sparse_jobs),
-                  static_cast<long long>(s.dispatches),
-                  "sparse stream under adaptive hold dispatches every job alone");
-    gate.check(mean_wait_ms < adaptive.max_delay_ms / 2.0,
-               "sparse stream pays no hold-window latency tax (mean wait < half "
-               "the ceiling)");
-  }
-
-  // ---- D: adaptive engine end-to-end — determinism stands ----------------
-  {
-    engine::EngineOptions options;
-    options.coalesce = adaptive;
-    engine::Engine eng(options);
-    std::vector<engine::Ticket> tickets;
-    for (const engine::Job& job : jobs) tickets.push_back(eng.submit(job));
-    std::vector<engine::JobResult> adaptive_results;
-    for (engine::Ticket& ticket : tickets) adaptive_results.push_back(ticket.result());
-    const engine::EngineStats s = eng.stats();
-    gate.check(fingerprint(adaptive_results) == expected,
-               "adaptive-delay engine stream results byte-match run_batch()");
-    gate.check(s.batches < jobs.size(),
-               "adaptive-delay engine coalesced the burst (dispatches < jobs)");
-    gate.info("adaptive engine dispatches", static_cast<double>(s.batches));
-  }
 
   return gate.finish("engine submit stream coalescing");
 }

@@ -521,73 +521,6 @@ AntichainAnalysis merge_antichain_analyses(std::vector<AntichainAnalysis> parts,
   return out;
 }
 
-namespace {
-
-/// estimate_root_cost() body with validation hoisted out — the per-root
-/// kernel shared by the single-root entry point and the batched,
-/// pool-parallel estimate_root_costs().
-std::uint64_t estimate_root_cost_unchecked(const Levels& levels, const Reachability& reach,
-                                           const EnumerateOptions& options,
-                                           int effective_limit, NodeId root) {
-  if (options.max_size <= 1) return 1;
-
-  SpanTracker tracker;
-  tracker = tracker.with(root, levels);
-  const DynamicBitset& compat = reach.parallel_mask(root);
-  std::uint64_t width = 0;
-  compat.for_each_from(root + 1, [&](std::size_t j) {
-    if (tracker.span_with(static_cast<NodeId>(j), levels) <= effective_limit) ++width;
-  });
-
-  // Σ_{k=0}^{max_size-1} C(w, k) ≈ Σ w^k/k! — the subtree size if the
-  // whole first level stayed mutually compatible; an upper-bound-shaped
-  // estimate whose steep decay in w is what separates heavy roots from
-  // light ones. Accumulated in double (exact well past any realistic
-  // width) and saturated so a pathological graph cannot overflow.
-  double cost = 0.0, term = 1.0;
-  for (std::size_t k = 0; k < options.max_size; ++k) {
-    cost += term;
-    term = term * static_cast<double>(width >= k ? width - k : 0) /
-           static_cast<double>(k + 1);
-  }
-  constexpr double kSaturate = 1e18;
-  return static_cast<std::uint64_t>(cost < kSaturate ? cost : kSaturate);
-}
-
-}  // namespace
-
-std::uint64_t estimate_root_cost(const Dfg& dfg, const Levels& levels,
-                                 const Reachability& reach,
-                                 const EnumerateOptions& options, NodeId root) {
-  const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
-  MPSCHED_REQUIRE(root < dfg.node_count(), "root out of range");
-  return estimate_root_cost_unchecked(levels, reach, options, effective_limit, root);
-}
-
-std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& levels,
-                                               const Reachability& reach,
-                                               const EnumerateOptions& options) {
-  // Validation runs once, not once per root; each root's estimate is
-  // independent and written into its own slot, so the pool fan-out is
-  // byte-deterministic (the shard-policy determinism matrix gates this).
-  const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
-  std::vector<std::uint64_t> costs(dfg.node_count());
-  const auto eval = [&](std::size_t r) {
-    costs[r] = estimate_root_cost_unchecked(levels, reach, options, effective_limit,
-                                            static_cast<NodeId>(r));
-  };
-  // Pool fan-out only when it can pay for itself. Must not be entered
-  // from inside another pool task (parallel_for waits for the whole
-  // pool); every current caller estimates from a dispatcher thread.
-  constexpr std::size_t kParallelThreshold = 256;
-  if (options.parallel && dfg.node_count() >= kParallelThreshold) {
-    ThreadPool::shared().parallel_for(dfg.node_count(), eval);
-  } else {
-    for (std::size_t r = 0; r < dfg.node_count(); ++r) eval(r);
-  }
-  return costs;
-}
-
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const EnumerateOptions& options) {
   const Levels levels = compute_levels(dfg);
   const Reachability reach(dfg);

@@ -1,8 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <queue>
 #include <unordered_map>
 
 #include "antichain/analytic.hpp"
@@ -46,6 +44,10 @@ EnumerateOptions enumerate_options_for(const SelectOptions& select) {
   return eo;
 }
 
+/// Shards per worker (pool threads + caller): enough slack for the
+/// parallel_for to balance uneven roots without much merge work.
+constexpr std::size_t kShardsPerThread = 4;
+
 /// Cyclic root partition: shard s takes roots s, s+S, s+2S, … so the
 /// expensive low-id roots (largest search subtrees) spread across shards.
 std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count,
@@ -58,41 +60,6 @@ std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count,
 }
 
 }  // namespace
-
-/// Greedy LPT — roots in descending estimated cost, each onto the
-/// currently lightest shard. A root heavier than the average naturally
-/// ends up alone in its shard; light roots coalesce around it.
-/// Deterministic: ties break on lower root id, then lower shard index, so
-/// the plan is a pure function of the cost vector.
-std::vector<std::vector<NodeId>> pack_roots_by_cost(
-    const std::vector<std::uint64_t>& costs, std::size_t target_shards) {
-  const std::size_t node_count = costs.size();
-  const std::size_t shards =
-      std::clamp<std::size_t>(target_shards, 1, std::max<std::size_t>(node_count, 1));
-
-  std::vector<NodeId> order(node_count);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](NodeId a, NodeId b) { return costs[a] > costs[b]; });
-
-  std::vector<std::vector<NodeId>> roots(shards);
-  // Min-heap of (load, shard index): pop = lightest shard, lowest index on
-  // ties (std::greater on the pair compares load first, then index).
-  using Slot = std::pair<std::uint64_t, std::size_t>;
-  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> heap;
-  for (std::size_t s = 0; s < shards; ++s) heap.push({0, s});
-  for (const NodeId r : order) {
-    auto [load, shard] = heap.top();
-    heap.pop();
-    roots[shard].push_back(r);
-    heap.push({load + costs[r], shard});
-  }
-  // Ascending roots within a shard: enumeration order inside a shard does
-  // not affect the merged result, but keeping it sorted makes shard
-  // contents canonical for a given plan.
-  for (auto& shard : roots) std::sort(shard.begin(), shard.end());
-  return roots;
-}
 
 BatchResult collect_tickets(const std::vector<Ticket>& tickets) {
   BatchResult batch;
@@ -131,11 +98,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
         "EngineOptions: coalesce.flush_on_idle=false requires max_delay_ms >= 1 "
         "(a zero hold expires instantly, silently disabling the coalescing the "
         "caller asked for)");
-  if (options_.coalesce.adaptive_delay && options_.coalesce.flush_on_idle)
-    throw std::invalid_argument(
-        "EngineOptions: coalesce.adaptive_delay requires flush_on_idle=false "
-        "(with flush-on-idle there is no hold window to adapt, so the knob "
-        "would be silently inert)");
   if (options_.threads > 0) owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
   if (options_.cache == nullptr) owned_cache_ = std::make_unique<AnalysisCache>();
   if (!options_.cache_dir.empty())
@@ -408,58 +370,8 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     const Job& job = jobs[unit.exemplar_job];
     const Dfg& unit_dfg = *graphs[unit.exemplar_job];
     if (job.select.generation == PatternGeneration::SpanLimitedEnumeration) {
-      const std::size_t target_shards = worker_count * options_.shards_per_thread;
-      bool planned = false;
-      // Measured-cost packing: on a repeated corpus whose entry must be
-      // recomputed (evicted, torn, or trimmed away) but whose cost
-      // sidecar survived, pack from the previously observed per-shard
-      // wall times instead of the width estimate. Adaptive upgrades
-      // itself whenever a valid sidecar is present; Measured additionally
-      // counts a missing sidecar as a fallback so a caller expecting warm
-      // measurements can see when they are not there.
-      if (options_.shard_policy != ShardPolicy::Uniform && options_.use_cache) {
-        static obs::Counter& measured_plans =
-            obs::Registry::global().counter("engine.shard_plan.measured");
-        static obs::Counter& fallback_plans =
-            obs::Registry::global().counter("engine.shard_plan.fallback");
-        const CacheStore* disk = store.disk_store();
-        MeasuredCosts measured;
-        if (disk != nullptr)
-          measured = disk->load_measured_root_costs(unit.key, unit_dfg.node_count());
-        if (measured.ok()) {
-          unit.shard_roots = pack_roots_by_cost(measured.root_costs, target_shards);
-          planned = true;
-          measured_plans.add();
-        } else if (measured.status == MeasuredCosts::Status::Invalid ||
-                   options_.shard_policy == ShardPolicy::Measured) {
-          fallback_plans.add();
-        }
-      } else if (options_.shard_policy == ShardPolicy::Measured) {
-        static obs::Counter& fallback_plans =
-            obs::Registry::global().counter("engine.shard_plan.fallback");
-        fallback_plans.add();  // no cache, so no sidecar to measure from
-      }
-      if (!planned && options_.shard_policy != ShardPolicy::Uniform) {
-        // Cost estimation validates the same options the enumeration will;
-        // on bad options (e.g. capacity 0) fall back to a uniform plan and
-        // let the shard task surface the real error as this job's failure.
-        try {
-          const PreparedGraph& graph = *prepared[unit.exemplar_job];
-          // Estimation runs here on the dispatcher thread, before the
-          // shard fan-out, so it may use the shared pool even though the
-          // shard tasks themselves must not (parallel = false below).
-          EnumerateOptions estimate_options = enumerate_options_for(job.select);
-          estimate_options.parallel = true;
-          unit.shard_roots = pack_roots_by_cost(
-              estimate_root_costs(unit_dfg, graph.levels, graph.reach, estimate_options),
-              target_shards);
-          planned = true;
-        } catch (const std::exception&) {
-          planned = false;
-        }
-      }
-      if (!planned)
-        unit.shard_roots = partition_roots(unit_dfg.node_count(), target_shards);
+      unit.shard_roots =
+          partition_roots(unit_dfg.node_count(), worker_count * kShardsPerThread);
     } else {
       unit.shard_roots.resize(1);  // closed-form counting: one cheap task
     }
@@ -512,43 +424,13 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
         unit.error = "analysis: " + unit.shard_errors[s];
     for (const double ms : unit.shard_ms) unit.total_ms += ms;
     if (!unit.error.empty()) return;
-    const Job& job = jobs[unit.exemplar_job];
     const Dfg& unit_dfg = *graphs[unit.exemplar_job];
     unit.result = std::make_shared<AntichainAnalysis>(
         unit.shard_results.size() == 1
             ? std::move(unit.shard_results.front())
             : merge_antichain_analyses(std::move(unit.shard_results),
                                        unit_dfg.node_count()));
-    if (options_.use_cache) {
-      store.store_analysis(unit.key, unit.result);
-      // Measured per-shard wall times ride along as a sidecar next to the
-      // persisted analysis: the seed data for re-packing repeated corpora
-      // from observed (rather than estimated) root costs. Best-effort,
-      // like every disk-tier write.
-      if (CacheStore* disk = store.disk_store(); disk != nullptr) {
-        Json cost = Json::object();
-        cost.set("format", Json(CacheStore::kCostSidecarFormat));
-        cost.set("key", Json(unit.key.to_string()));
-        cost.set("workload", Json(job.workload));
-        cost.set("nodes", Json(unit_dfg.node_count()));
-        Json shards = Json::array();
-        for (std::size_t s = 0; s < unit.shard_roots.size(); ++s) {
-          Json shard = Json::object();
-          // The actual root ids, not just a count: what lets a later run
-          // convert this shard's wall time back into per-root packing
-          // costs and validate the plan still partitions the graph.
-          Json roots = Json::array();
-          for (const NodeId r : unit.shard_roots[s])
-            roots.push_back(Json(static_cast<std::int64_t>(r)));
-          shard.set("roots", std::move(roots));
-          shard.set("ms", Json(unit.shard_ms[s]));
-          shards.push_back(std::move(shard));
-        }
-        cost.set("shards", std::move(shards));
-        cost.set("total_ms", Json(unit.total_ms));
-        disk->store_cost_sidecar(unit.key, cost);
-      }
-    }
+    if (options_.use_cache) store.store_analysis(unit.key, unit.result);
   });
 
   for (const AnalysisUnit& unit : units) {

@@ -9,13 +9,12 @@
 //      same generation options computes its antichain analysis once, and a
 //      warm cache skips the computation entirely.
 //   2. Shard. Each analysis to compute is split by enumeration root into
-//      ~shards_per_thread × workers chunks, and ALL chunks of ALL jobs go
-//      into one dynamically-balanced parallel_for — work steals across
-//      jobs *and* within a job, so one huge DFG no longer serializes the
-//      tail of the batch the way per-graph fan-out does. Shards are sized
-//      by estimated root cost by default (estimate_root_cost + greedy LPT
-//      packing): heavy roots get their own shards, light roots coalesce,
-//      so a single skewed graph balances instead of leaving the pool idle.
+//      4 × workers chunks with a cyclic partition (shard s takes roots s,
+//      s+S, s+2S, …, so the expensive low-id roots spread out), and ALL
+//      chunks of ALL jobs go into one dynamically-balanced parallel_for —
+//      work steals across jobs *and* within a job, so one huge DFG no
+//      longer serializes the tail of the batch the way per-graph fan-out
+//      does.
 //   3. Solve. Selection, scheduling and optional refinement run per job in
 //      a second parallel_for (they are orders of magnitude cheaper than
 //      enumeration and strictly sequential per job).
@@ -48,28 +47,6 @@ class ThreadPool;
 
 namespace mpsched::engine {
 
-/// How enumeration roots are grouped into shards. Every policy produces
-/// byte-identical results (shard merging is grouping-insensitive); they
-/// differ only in load balance.
-enum class ShardPolicy {
-  /// Cyclic uniform-by-root partition (the PR 2 behavior).
-  Uniform,
-  /// Cost-estimated: estimate_root_cost() per root, greedy LPT packing.
-  /// On a repeated corpus with a disk tier attached this upgrades itself
-  /// to measured costs: when the unit's `<key>.cost.json` sidecar (the
-  /// observed per-shard wall times of the previous computation) is
-  /// present and valid, the packer uses those instead of the estimate.
-  Adaptive,
-  /// Measured-first: pack from the cost sidecar's observed wall times,
-  /// falling back to the estimate when the sidecar is missing, corrupt,
-  /// or shape-mismatched (every fallback bumps the
-  /// `engine.shard_plan.fallback` counter; a measured plan bumps
-  /// `engine.shard_plan.measured`). Identical to Adaptive except that
-  /// missing measurements also count as fallbacks — the policy for
-  /// callers who expect a warm sidecar and want to see when it is not.
-  Measured,
-};
-
 struct EngineOptions {
   /// Worker threads for the engine's own pool; 0 = use ThreadPool::shared().
   std::size_t threads = 0;
@@ -83,12 +60,6 @@ struct EngineOptions {
   /// use (owned or external), persisting analyses across processes.
   /// Created if absent; safe to share between concurrent processes.
   std::string cache_dir;
-  /// Sharding granularity: target shards ≈ shards_per_thread × workers,
-  /// clamped to the node count. Higher = better balance, more merge work.
-  std::size_t shards_per_thread = 4;
-  /// How roots are packed into shards; results are identical under every
-  /// policy — only the load balance differs.
-  ShardPolicy shard_policy = ShardPolicy::Adaptive;
   /// When the admission queue behind submit()/run_batch() flushes queued
   /// jobs into one shared dispatch (submission_queue.hpp). The default —
   /// flush-on-idle, no added delay — dispatches a lone submission
@@ -144,15 +115,6 @@ struct EngineStats {
 /// and cache_stats are left for the caller, who knows what they span.
 /// Rethrows a dispatch-level failure of any ticket.
 BatchResult collect_tickets(const std::vector<Ticket>& tickets);
-
-/// The Adaptive-policy packer: greedy LPT over per-root cost estimates —
-/// roots in descending cost, each onto the currently lightest shard, at
-/// most `target_shards` shards (clamped to the root count). The result is
-/// always a partition of [0, costs.size()): every root in exactly one
-/// shard, each shard's roots ascending. Deterministic in `costs` alone.
-/// Exposed for tests and diagnostics; Engine calls it internally.
-std::vector<std::vector<NodeId>> pack_roots_by_cost(
-    const std::vector<std::uint64_t>& costs, std::size_t target_shards);
 
 class Engine {
  public:

@@ -26,14 +26,6 @@ JobResult cancelled_result(const Job& job) {
 
 }  // namespace
 
-std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t max_delay_ms) {
-  if (ewma_gap_ms < 0) return 0;  // no arrival gap observed yet
-  const double hold =
-      static_cast<double>(max_delay_ms) - kAdaptiveGapMultiplier * ewma_gap_ms;
-  if (hold <= 0) return 0;
-  return static_cast<std::uint64_t>(hold);
-}
-
 // ---------------------------------------------------------------------------
 // Ticket
 // ---------------------------------------------------------------------------
@@ -100,11 +92,6 @@ SubmissionQueue::SubmissionQueue(
   if (policy_.max_jobs == 0)
     throw std::invalid_argument(
         "CoalescePolicy: max_jobs must be >= 1 (a zero trigger would never flush)");
-  if (policy_.adaptive_delay && policy_.flush_on_idle)
-    throw std::invalid_argument(
-        "CoalescePolicy: adaptive_delay requires flush_on_idle=false (with "
-        "flush-on-idle there is no hold window to adapt, so the knob would be "
-        "silently inert)");
   if (dispatch_ == nullptr)
     throw std::invalid_argument("SubmissionQueue: a dispatch function is required");
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -139,22 +126,6 @@ std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
     std::lock_guard lock(core_->mutex);
     if (core_->stop)
       throw std::runtime_error("Engine: submit after shutdown (the queue is drained)");
-    if (policy_.adaptive_delay) {
-      // One arrival event per submit call (a submit_batch lands whole):
-      // the gap stream the dispatcher's hold window adapts to.
-      if (core_->has_last_submit) {
-        const double gap_ms =
-            std::chrono::duration<double, std::milli>(now - core_->last_submit)
-                .count();
-        core_->ewma_gap_ms =
-            core_->ewma_gap_ms < 0
-                ? gap_ms
-                : kAdaptiveEwmaAlpha * gap_ms +
-                      (1.0 - kAdaptiveEwmaAlpha) * core_->ewma_gap_ms;
-      }
-      core_->last_submit = now;
-      core_->has_last_submit = true;
-    }
     for (auto& entry : entries) {
       core_->pending.push_back(entry);
       ++core_->stats.submitted;
@@ -202,28 +173,19 @@ void SubmissionQueue::dispatcher_loop() {
     // idle here, so it flushes at once; otherwise it holds until max_jobs
     // accumulate, the oldest job's hold window expires, or shutdown. The
     // deadline is recomputed on every wait iteration: the front entry can
-    // be cancelled mid-hold (a dead entry's timestamp must not cut the
-    // survivors' window short), and under adaptive_delay the window
-    // itself moves as new submissions update the arrival-rate EWMA.
+    // be cancelled mid-hold, and a dead entry's timestamp must not cut the
+    // survivors' window short.
     if (!policy_.flush_on_idle) {
-      std::uint64_t hold_ms = policy_.max_delay_ms;
       for (;;) {
         if (core.stop || core.pending.empty() ||
             core.pending.size() >= policy_.max_jobs)
           break;
-        if (policy_.adaptive_delay)
-          hold_ms = adaptive_hold_ms(core.ewma_gap_ms, policy_.max_delay_ms);
-        const auto deadline =
-            core.pending.front()->enqueued + std::chrono::milliseconds(hold_ms);
+        const auto deadline = core.pending.front()->enqueued +
+                              std::chrono::milliseconds(policy_.max_delay_ms);
         if (std::chrono::steady_clock::now() >= deadline) break;
         core.cv.wait_until(lock, deadline);
       }
       if (core.pending.empty()) continue;  // everything got cancelled meanwhile
-      if (policy_.adaptive_delay && obs::metrics_enabled()) {
-        static obs::Histogram& adaptive_delay_metric =
-            obs::Registry::global().histogram("queue.adaptive_delay_ms");
-        adaptive_delay_metric.record(static_cast<double>(hold_ms));
-      }
     }
 
     // Flush: take everything queued. Entries are marked Dispatched under

@@ -15,10 +15,8 @@
 // Coalescing policy (CoalescePolicy): a flush happens when max_jobs are
 // queued, when the oldest queued job has waited out the hold window, or —
 // with flush_on_idle (the default) — immediately whenever the dispatcher
-// is free. The hold window is max_delay_ms, or, with adaptive_delay,
-// derived per flush from an EWMA of inter-submit gaps (adaptive_hold_ms)
-// so bursts coalesce hard and sparse traffic holds ~0. max_jobs is a
-// flush *trigger*, not a dispatch size cap: a flush always takes
+// is free. The hold window is max_delay_ms. max_jobs is a flush
+// *trigger*, not a dispatch size cap: a flush always takes
 // everything queued, so one submit_batch() is never split.
 //
 // Determinism: a JobResult depends only on its Job — never on what it was
@@ -67,31 +65,7 @@ struct CoalescePolicy {
   /// must be >= 1 (a zero hold would expire instantly, silently behaving
   /// like flush_on_idle; the Engine rejects the combination).
   bool flush_on_idle = true;
-  /// Derive the hold window from the observed arrival rate instead of
-  /// holding for the full max_delay_ms: the queue keeps an EWMA of
-  /// inter-submit gaps and holds adaptive_hold_ms(ewma, max_delay_ms) —
-  /// bursty fan-in (tiny gaps) coalesces for up to max_delay_ms, sparse
-  /// traffic (gaps that make companions unlikely within the window)
-  /// holds for ~0 and pays no latency tax. Requires flush_on_idle ==
-  /// false (with flush-on-idle there is no hold to adapt; the Engine and
-  /// the queue both reject the inert combination). max_delay_ms stays
-  /// the hard ceiling either way.
-  bool adaptive_delay = false;
 };
-
-/// EWMA smoothing factor for the observed inter-submit gap (weight of the
-/// newest gap), and how many expected gaps must fit inside max_delay_ms
-/// before holding is worthwhile. Exposed for tests and documentation.
-inline constexpr double kAdaptiveEwmaAlpha = 0.5;
-inline constexpr double kAdaptiveGapMultiplier = 8.0;
-
-/// The adaptive hold window: max_delay_ms - kAdaptiveGapMultiplier * the
-/// EWMA gap, clamped to [0, max_delay_ms]. Tiny gaps (a burst) hold for
-/// nearly the whole window; once the expected gap is so large that fewer
-/// than kAdaptiveGapMultiplier arrivals would fit, the hold collapses to
-/// zero. A negative ewma_gap_ms means "no gap observed yet" and also
-/// holds zero — the first submission ever is never taxed on speculation.
-std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t max_delay_ms);
 
 enum class TicketState { Queued, Dispatched, Done, Cancelled };
 
@@ -131,12 +105,6 @@ struct QueueCore {
   std::deque<std::shared_ptr<TicketEntry>> pending;
   SubmissionStats stats;
   bool stop = false;
-  /// Arrival-rate estimate for CoalescePolicy::adaptive_delay, maintained
-  /// under `mutex` by submit_batch(): EWMA of the gaps between successive
-  /// submit calls (< 0 until two submissions have been seen).
-  double ewma_gap_ms = -1.0;
-  std::chrono::steady_clock::time_point last_submit{};
-  bool has_last_submit = false;
 };
 
 }  // namespace detail
@@ -189,8 +157,7 @@ class SubmissionQueue {
  public:
   /// `dispatch` executes one shared batch and returns results aligned
   /// with its argument (the Engine passes its batch executor). Throws
-  /// std::invalid_argument on a bad policy (max_jobs == 0, or
-  /// adaptive_delay combined with flush_on_idle).
+  /// std::invalid_argument on a bad policy (max_jobs == 0).
   SubmissionQueue(std::function<std::vector<JobResult>(std::vector<Job>)> dispatch,
                   CoalescePolicy policy);
   ~SubmissionQueue();

@@ -1,24 +1,18 @@
 // The batch engine (src/engine): sharded enumeration equivalence, cache
-// bit-identity, cross-thread-count/cache-setting/shard-policy determinism,
-// cost-estimated shard packing, and the corpus/results JSON round-trip —
-// the contracts ISSUEs 2 and 3 promise.
+// bit-identity, cross-thread-count/cache-setting determinism, and the
+// corpus/results JSON round-trip.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
-#include <numeric>
 #include <thread>
 
 #include "antichain/enumerate.hpp"
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
-#include "engine/cache_store.hpp"
 #include "io/result_io.hpp"
-#include "obs/metrics.hpp"
 #include "test_util.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -31,7 +25,6 @@ using engine::CacheKey;
 using engine::Engine;
 using engine::EngineOptions;
 using engine::Job;
-using engine::ShardPolicy;
 using test::expect_analysis_identical;
 
 /// A small mixed corpus covering both generation strategies, duplicates,
@@ -229,157 +222,23 @@ TEST(Engine, MatchesHandWiredPipeline) {
     EXPECT_EQ(result.node_cycles[n], scheduled.schedule.cycle_of(n));
 }
 
-TEST(Engine, DeterministicAcrossThreadCountsCacheSettingsAndShardPolicies) {
+TEST(Engine, DeterministicAcrossThreadCountsAndCacheSettings) {
   const std::vector<Job> jobs = test_corpus();
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (const bool use_cache : {true, false}) {
-      for (const ShardPolicy policy :
-           {ShardPolicy::Uniform, ShardPolicy::Adaptive, ShardPolicy::Measured}) {
-        EngineOptions options;
-        options.threads = threads;
-        options.use_cache = use_cache;
-        options.shard_policy = policy;
-        Engine eng(options);
-        const engine::BatchResult batch = eng.run_batch(jobs);
-        EXPECT_EQ(batch.succeeded(), jobs.size());
-        const std::string serialized = batch_to_json(batch).dump();
-        if (reference.empty()) reference = serialized;
-        EXPECT_EQ(serialized, reference)
-            << "results diverge at threads=" << threads << " cache=" << use_cache
-            << " policy=" << static_cast<int>(policy);
-      }
+      EngineOptions options;
+      options.threads = threads;
+      options.use_cache = use_cache;
+      Engine eng(options);
+      const engine::BatchResult batch = eng.run_batch(jobs);
+      EXPECT_EQ(batch.succeeded(), jobs.size());
+      const std::string serialized = batch_to_json(batch).dump();
+      if (reference.empty()) reference = serialized;
+      EXPECT_EQ(serialized, reference)
+          << "results diverge at threads=" << threads << " cache=" << use_cache;
     }
   }
-}
-
-TEST(AdaptiveSharding, RootCostEstimatesAreShapedLikeTheSearchForest) {
-  // The estimate only steers load balance, but its shape must be sane:
-  // deterministic, ≥ 1 everywhere (every root enumerates at least itself),
-  // maximal nowhere below a root whose compatible-successor set is empty,
-  // and decreasing along fir(8)'s parallel multiplier bank, where root r
-  // has exactly (taps - 1 - r) compatible higher-id siblings.
-  const Dfg dfg = workloads::make_workload("fir(8)");
-  const Levels levels = compute_levels(dfg);
-  const Reachability reach(dfg);
-  EnumerateOptions options;
-  options.max_size = 5;
-
-  const std::vector<std::uint64_t> costs = estimate_root_costs(dfg, levels, reach, options);
-  ASSERT_EQ(costs.size(), dfg.node_count());
-  EXPECT_EQ(costs, estimate_root_costs(dfg, levels, reach, options));
-  for (const std::uint64_t c : costs) EXPECT_GE(c, 1u);
-  // The 8 multiplies are nodes 0..7 (insertion order); their estimated
-  // subtrees must be strictly decreasing in root id.
-  for (NodeId r = 0; r + 1 < 8; ++r)
-    EXPECT_GT(costs[r], costs[r + 1]) << "root " << r;
-  // A sink with no higher-id parallel nodes costs exactly 1.
-  EXPECT_EQ(costs[dfg.node_count() - 1], 1u);
-
-  // max_size 1: every subtree is exactly the root itself.
-  options.max_size = 1;
-  for (const std::uint64_t c : estimate_root_costs(dfg, levels, reach, options))
-    EXPECT_EQ(c, 1u);
-}
-
-TEST(AdaptiveSharding, RootCostEstimatesAreIdenticalSerialAndParallel) {
-  // estimate_root_costs validates once and, over the pool-fan-out
-  // threshold (256 nodes), runs the per-root estimates on the shared
-  // ThreadPool. The cost vector must be byte-identical between the
-  // serial and parallel paths and equal to per-root estimate_root_cost —
-  // the adaptive shard plan (and thus the engine's work order) hangs off
-  // these numbers.
-  workloads::LayeredDagOptions dag_options;
-  dag_options.layers = 40;
-  dag_options.min_width = 7;
-  dag_options.max_width = 9;
-  const Dfg dfg = workloads::random_layered_dag(97, dag_options);
-  ASSERT_GE(dfg.node_count(), 256u) << "graph too small to exercise the pool path";
-  const Levels levels = compute_levels(dfg);
-  const Reachability reach(dfg);
-
-  EnumerateOptions serial_options;
-  serial_options.max_size = 5;
-  serial_options.parallel = false;
-  EnumerateOptions parallel_options = serial_options;
-  parallel_options.parallel = true;
-
-  const std::vector<std::uint64_t> serial =
-      estimate_root_costs(dfg, levels, reach, serial_options);
-  const std::vector<std::uint64_t> parallel =
-      estimate_root_costs(dfg, levels, reach, parallel_options);
-  EXPECT_EQ(serial, parallel);
-
-  ASSERT_EQ(serial.size(), dfg.node_count());
-  for (NodeId r = 0; r < dfg.node_count(); ++r)
-    EXPECT_EQ(serial[r], estimate_root_cost(dfg, levels, reach, serial_options, r))
-        << "root " << r;
-}
-
-TEST(AdaptiveSharding, PackerProducesValidPartitions) {
-  // The LPT packer's hard invariant: whatever the costs, the plan is a
-  // partition of [0, n) — every root in exactly one shard — with at most
-  // target_shards shards and ascending roots per shard. Property-checked
-  // over seeded cost vectors including adversarial shapes (all-equal,
-  // one-dominant, zeros, saturated).
-  Rng rng(0x9A2C);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t n = 1 + rng.below(200);
-    const std::size_t target = 1 + rng.below(40);
-    std::vector<std::uint64_t> costs(n);
-    for (auto& c : costs) {
-      switch (rng.below(4)) {
-        case 0: c = 1; break;                                  // all-equal
-        case 1: c = rng.below(1000); break;                    // small mixed
-        case 2: c = rng.below(2) ? 1'000'000'000ULL : 1; break;  // dominant
-        default: c = 0; break;                                 // degenerate
-      }
-    }
-    const auto plan = engine::pack_roots_by_cost(costs, target);
-    EXPECT_LE(plan.size(), std::max<std::size_t>(target, 1));
-    std::vector<int> seen(n, 0);
-    for (const auto& shard : plan) {
-      EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
-      for (const NodeId r : shard) {
-        ASSERT_LT(r, n);
-        ++seen[r];
-      }
-    }
-    for (std::size_t r = 0; r < n; ++r)
-      EXPECT_EQ(seen[r], 1) << "root " << r << " (trial " << trial << ")";
-    // Deterministic: the plan is a pure function of the cost vector.
-    EXPECT_EQ(plan, engine::pack_roots_by_cost(costs, target));
-  }
-
-  // LPT shape on a clearly skewed input: the dominant root sits alone.
-  const auto skewed = engine::pack_roots_by_cost({1'000'000, 1, 1, 1, 1, 1}, 3);
-  ASSERT_EQ(skewed.size(), 3u);
-  bool dominant_alone = false;
-  for (const auto& shard : skewed)
-    if (shard == std::vector<NodeId>{0}) dominant_alone = true;
-  EXPECT_TRUE(dominant_alone);
-}
-
-TEST(AdaptiveSharding, PlansAreValidPartitionsAndMergeIdentically) {
-  // Whatever plan the packer produces, it must be a partition of the root
-  // set — and any partition merges to the monolithic analysis, so run the
-  // actual equivalence end-to-end through the engine-facing entry points.
-  const Job job = Job::from_workload("paper_3dft");
-  const Levels levels = compute_levels(job.dfg);
-  const Reachability reach(job.dfg);
-  EnumerateOptions options;
-  options.max_size = job.select.capacity;
-  options.span_limit = job.select.span_limit;
-
-  EngineOptions adaptive;
-  adaptive.shard_policy = ShardPolicy::Adaptive;
-  adaptive.threads = 3;
-  Engine eng(adaptive);
-  const engine::JobResult result = eng.run(job);
-  ASSERT_TRUE(result.success);
-
-  const AntichainAnalysis whole = enumerate_antichains(job.dfg, levels, reach, options);
-  EXPECT_EQ(result.antichains, whole.total);
 }
 
 TEST(Engine, CacheOffComputesEveryJob) {
@@ -598,175 +457,6 @@ TEST(Engine, ShardWallTimesAreExemplarCharged) {
   EXPECT_EQ(with_diag.at("shard_ms").as_array().size(), batch.jobs[0].shard_ms.size());
   EXPECT_EQ(result_to_json(batch.jobs[0], false).find("shard_ms"), nullptr);
   EXPECT_EQ(result_to_json(batch.jobs[3], true).find("shard_ms"), nullptr);
-}
-
-TEST(Engine, CostSidecarLandsNextToTheCacheEntry) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path("engine_test.tmp") / "cost_sidecar";
-  fs::remove_all(dir);
-
-  Job job = Job::from_workload("paper_3dft");
-  EngineOptions options;
-  options.cache_dir = dir.string();
-  Engine eng(options);
-  const engine::BatchResult batch = eng.run_batch({job});
-  ASSERT_EQ(batch.succeeded(), 1u);
-
-  const CacheKey key = AnalysisCache::analysis_key(
-      job.dfg, job.select.generation, job.select.capacity, job.select.span_limit);
-  const fs::path sidecar = dir / engine::CacheStore::sidecar_filename(key);
-  ASSERT_TRUE(fs::exists(sidecar)) << sidecar;
-
-  const std::optional<Json> doc = eng.cache().disk_store()->load_cost_sidecar(key);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->at("format").as_string(), engine::CacheStore::kCostSidecarFormat);
-  EXPECT_EQ(doc->at("key").as_string(), key.to_string());
-  EXPECT_EQ(doc->at("workload").as_string(), "paper_3dft");
-  EXPECT_EQ(static_cast<std::size_t>(doc->at("nodes").as_int()),
-            job.dfg.node_count());
-  const Json::Array& shards = doc->at("shards").as_array();
-  ASSERT_EQ(shards.size(), batch.jobs[0].shard_ms.size());
-  std::vector<bool> seen(job.dfg.node_count(), false);
-  std::size_t roots = 0;
-  double total = 0.0;
-  for (const Json& shard : shards) {
-    // v2 records the actual root ids, not just a count — the shape that
-    // lets a later run convert shard wall times back into per-root costs.
-    const Json::Array& ids = shard.at("roots").as_array();
-    EXPECT_FALSE(ids.empty());
-    for (const Json& id : ids) {
-      const std::size_t r = static_cast<std::size_t>(id.as_int());
-      ASSERT_LT(r, seen.size());
-      EXPECT_FALSE(seen[r]);  // no root in two shards
-      seen[r] = true;
-    }
-    roots += ids.size();
-    EXPECT_GE(shard.at("ms").as_double(), 0.0);
-    total += shard.at("ms").as_double();
-  }
-  EXPECT_EQ(roots, job.dfg.node_count());  // shards partition the roots
-  EXPECT_DOUBLE_EQ(doc->at("total_ms").as_double(), total);
-
-  // And the measured-cost loader round-trips it: one cost per node, all ≥ 1.
-  const engine::MeasuredCosts measured =
-      eng.cache().disk_store()->load_measured_root_costs(key, job.dfg.node_count());
-  ASSERT_TRUE(measured.ok());
-  ASSERT_EQ(measured.root_costs.size(), job.dfg.node_count());
-  for (const std::uint64_t c : measured.root_costs) EXPECT_GE(c, 1u);
-
-  // Trimming the entry takes its sidecar with it.
-  engine::TrimOptions trim;
-  trim.max_total_bytes = 1;
-  eng.cache().disk_store()->trim(trim);
-  EXPECT_FALSE(fs::exists(sidecar));
-
-  fs::remove_all("engine_test.tmp");
-}
-
-TEST(Engine, MeasuredRepackFromWarmSidecarsIsByteIdentical) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path("engine_test.tmp") / "measured_repack";
-  fs::remove_all(dir);
-
-  std::vector<Job> jobs;
-  jobs.push_back(Job::from_workload("fir(12)"));
-  jobs.push_back(Job::from_workload("stencil5(3,3)"));
-
-  std::string cold;
-  {
-    EngineOptions options;
-    options.cache_dir = dir.string();
-    Engine eng(options);
-    const engine::BatchResult batch = eng.run_batch(jobs);
-    ASSERT_EQ(batch.succeeded(), jobs.size());
-    cold = batch_to_json(batch).dump();
-  }
-
-  // Evict the cache entries but keep the cost sidecars — the torn-cache
-  // shape measured packing exists for: the next engine must recompute,
-  // and a measured-capable policy packs its shards from the observed
-  // wall times instead of the estimate.
-  std::size_t evicted = 0;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir))
-    if (e.path().extension() == ".mpa") {
-      fs::remove(e.path());
-      ++evicted;
-    }
-  ASSERT_EQ(evicted, 2u);
-
-  obs::Counter& measured_plans =
-      obs::Registry::global().counter("engine.shard_plan.measured");
-  const std::uint64_t before = measured_plans.value();
-  EngineOptions options;
-  options.cache_dir = dir.string();
-  options.shard_policy = ShardPolicy::Measured;
-  Engine eng(options);
-  const engine::BatchResult warm = eng.run_batch(jobs);
-  ASSERT_EQ(warm.succeeded(), jobs.size());
-  EXPECT_EQ(warm.analyses_computed, 2u);  // the entries really were evicted
-  // The hard invariant: measured packing only moves roots between shards,
-  // so the results are byte-identical to the estimate-packed cold run.
-  EXPECT_EQ(batch_to_json(warm).dump(), cold);
-  EXPECT_GE(measured_plans.value() - before, 2u);
-
-  // Adaptive self-upgrades from the same sidecars (entries evicted again).
-  for (const fs::directory_entry& e : fs::directory_iterator(dir))
-    if (e.path().extension() == ".mpa") fs::remove(e.path());
-  const std::uint64_t upgraded_before = measured_plans.value();
-  options.shard_policy = ShardPolicy::Adaptive;
-  Engine adaptive(options);
-  const engine::BatchResult again = adaptive.run_batch(jobs);
-  ASSERT_EQ(again.succeeded(), jobs.size());
-  EXPECT_EQ(batch_to_json(again).dump(), cold);
-  EXPECT_GE(measured_plans.value() - upgraded_before, 2u);
-
-  fs::remove_all("engine_test.tmp");
-}
-
-TEST(Engine, BadSidecarFallsBackToTheEstimate) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path("engine_test.tmp") / "bad_sidecar";
-  fs::remove_all(dir);
-
-  const Job job = Job::from_workload("fir(10)");
-  std::string cold;
-  {
-    EngineOptions options;
-    options.cache_dir = dir.string();
-    Engine eng(options);
-    const engine::BatchResult batch = eng.run_batch({job});
-    ASSERT_EQ(batch.succeeded(), 1u);
-    cold = batch_to_json(batch).dump();
-  }
-
-  // Evict the entry and replace the sidecar with a well-formed document
-  // whose node count does not match the graph — the "shard roots drifted"
-  // shape that must never steer packing.
-  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
-    if (e.path().extension() == ".mpa") {
-      fs::remove(e.path());
-    } else {
-      std::ofstream out(e.path(), std::ios::trunc);
-      out << "{\"format\":\"" << engine::CacheStore::kCostSidecarFormat
-          << "\",\"key\":\"0123\",\"nodes\":1,"
-             "\"shards\":[{\"roots\":[0],\"ms\":1.0}],\"total_ms\":1.0}";
-    }
-  }
-
-  obs::Counter& fallback_plans =
-      obs::Registry::global().counter("engine.shard_plan.fallback");
-  const std::uint64_t before = fallback_plans.value();
-  EngineOptions options;
-  options.cache_dir = dir.string();
-  options.shard_policy = ShardPolicy::Measured;
-  Engine eng(options);
-  const engine::BatchResult warm = eng.run_batch({job});
-  ASSERT_EQ(warm.succeeded(), 1u);
-  EXPECT_EQ(warm.analyses_computed, 1u);
-  EXPECT_EQ(batch_to_json(warm).dump(), cold);  // fell back, results intact
-  EXPECT_GE(fallback_plans.value() - before, 1u);
-
-  fs::remove_all("engine_test.tmp");
 }
 
 TEST(Workloads, SpecRegistry) {

@@ -360,102 +360,6 @@ TEST(SubmissionQueue, CancelledFrontDoesNotTruncateTheHoldWindow) {
   EXPECT_EQ(queue.stats().cancelled, 1u);
 }
 
-TEST(AdaptiveDelay, HoldWindowTracksTheArrivalRate) {
-  using engine::adaptive_hold_ms;
-  using engine::kAdaptiveGapMultiplier;
-  // No gap observed yet: the first submission ever is never taxed.
-  EXPECT_EQ(adaptive_hold_ms(-1.0, 100), 0u);
-  // Back-to-back arrivals hold the full ceiling.
-  EXPECT_EQ(adaptive_hold_ms(0.0, 100), 100u);
-  // The hold shrinks by kAdaptiveGapMultiplier ms per ms of expected gap…
-  EXPECT_EQ(adaptive_hold_ms(5.0, 100),
-            100u - static_cast<std::uint64_t>(5.0 * kAdaptiveGapMultiplier));
-  // …collapses to zero exactly when fewer than kAdaptiveGapMultiplier
-  // arrivals would fit in the window, and stays clamped there.
-  EXPECT_EQ(adaptive_hold_ms(100.0 / kAdaptiveGapMultiplier, 100), 0u);
-  EXPECT_EQ(adaptive_hold_ms(1e9, 100), 0u);
-  // Monotone: a sparser stream never holds longer.
-  std::uint64_t prev = adaptive_hold_ms(0.0, 400);
-  for (double gap = 1.0; gap <= 64.0; gap *= 2.0) {
-    const std::uint64_t hold = adaptive_hold_ms(gap, 400);
-    EXPECT_LE(hold, prev) << "gap=" << gap;
-    prev = hold;
-  }
-}
-
-TEST(AdaptiveDelay, RejectedWithoutAHeldQueue) {
-  // adaptive_delay under flush_on_idle would be silently inert — both the
-  // raw queue and the Engine refuse the combination loudly.
-  engine::CoalescePolicy policy;  // flush_on_idle defaults on
-  policy.adaptive_delay = true;
-  policy.max_delay_ms = 100;
-  EXPECT_THROW(engine::SubmissionQueue(
-                   [](std::vector<Job>) { return std::vector<JobResult>{}; }, policy),
-               std::invalid_argument);
-  EngineOptions options;
-  options.coalesce = policy;
-  EXPECT_THROW(Engine{options}, std::invalid_argument);
-}
-
-TEST(AdaptiveDelay, BurstsCoalesceAndSparseTrafficPaysNoTax) {
-  engine::CoalescePolicy policy;
-  policy.flush_on_idle = false;
-  policy.max_delay_ms = 250;
-  policy.adaptive_delay = true;
-
-  // Bursty: back-to-back submissions keep the EWMA gap near zero, so the
-  // hold stays near the ceiling and the burst rides few shared dispatches.
-  {
-    std::mutex mutex;
-    std::vector<std::size_t> sizes;
-    engine::SubmissionQueue queue(counting_dispatch(mutex, sizes), policy);
-    std::vector<Ticket> tickets;
-    for (int i = 0; i < 6; ++i)
-      tickets.push_back(queue.submit(Job::from_workload("small_example")));
-    for (Ticket& t : tickets) t.wait();
-    const engine::SubmissionStats stats = queue.stats();
-    EXPECT_LT(stats.dispatches, 6u);
-    EXPECT_GE(stats.coalesced_dispatches, 1u);
-  }
-
-  // Sparse: every observed gap (≥ 120ms) pushes the EWMA far past
-  // max_delay_ms / kAdaptiveGapMultiplier (31.25ms), so the hold is 0 and
-  // each job flushes alone, immediately — no latency tax on lone traffic.
-  {
-    std::mutex mutex;
-    std::vector<std::size_t> sizes;
-    engine::SubmissionQueue queue(counting_dispatch(mutex, sizes), policy);
-    std::vector<Ticket> tickets;
-    for (int i = 0; i < 4; ++i) {
-      if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(120));
-      tickets.push_back(queue.submit(Job::from_workload("small_example")));
-    }
-    for (Ticket& t : tickets) t.wait();
-    const engine::SubmissionStats stats = queue.stats();
-    EXPECT_EQ(stats.dispatches, 4u);
-    EXPECT_EQ(stats.coalesced_dispatches, 0u);
-  }
-}
-
-TEST(AdaptiveDelay, ResultsAreByteIdenticalToRunBatch) {
-  // The coalescing mode never leaks into results: the fan-in corpus under
-  // an adaptive-delay engine serializes exactly like one run_batch.
-  const std::vector<Job> jobs = fanin_corpus();
-  Engine reference;
-  const std::string expected = results_fingerprint(reference.run_batch(jobs).jobs);
-
-  EngineOptions options;
-  options.coalesce.flush_on_idle = false;
-  options.coalesce.max_delay_ms = 250;
-  options.coalesce.adaptive_delay = true;
-  Engine engine(options);
-  std::vector<Ticket> tickets;
-  for (const Job& job : jobs) tickets.push_back(engine.submit(job));
-  std::vector<JobResult> results;
-  for (Ticket& t : tickets) results.push_back(t.result());
-  EXPECT_EQ(results_fingerprint(results), expected);
-}
-
 TEST(SubmissionQueue, RunBatchSharesTheQueueWithAsyncSubmits) {
   // A run_batch() issued while async tickets are queued must not disturb
   // them — everyone resolves, everyone is correct.

@@ -8,9 +8,9 @@
 //
 // Usage:
 //   mpsched_serve --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]
-//                 [--shard-policy uniform|adaptive|measured] [--max-clients N]
-//                 [--coalesce-jobs N] [--coalesce-delay-ms MS] [--hold-queue]
-//                 [--daemonize] [--trace-out FILE]
+//                 [--max-clients N] [--coalesce-jobs N]
+//                 [--coalesce-delay-ms MS] [--hold-queue] [--daemonize]
+//                 [--trace-out FILE]
 //   mpsched_serve --stdio [same engine flags]
 //
 // --trace-out enables structured tracing (src/obs) for the daemon's whole
@@ -52,7 +52,6 @@
 #include "util/thread_pool.hpp"
 
 using namespace mpsched;
-using cli::shard_policy_from;
 using cli::size_flag;
 
 namespace {
@@ -61,10 +60,8 @@ int usage(const char* argv0) {
   std::printf(
       "usage:\n"
       "  %s --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]\n"
-      "     [--shard-policy uniform|adaptive|measured] [--max-clients N]\n"
-      "     [--coalesce-jobs N] [--coalesce-delay-ms MS] [--hold-queue]\n"
-      "     [--adaptive-delay]\n"
-      "     [--daemonize] [--trace-out FILE]\n"
+      "     [--max-clients N] [--coalesce-jobs N] [--coalesce-delay-ms MS]\n"
+      "     [--hold-queue] [--daemonize] [--trace-out FILE]\n"
       "  %s --stdio [same engine flags]\n",
       argv0, argv0);
   return 2;
@@ -115,7 +112,6 @@ int flush_trace(const std::string& trace_out) {
 int main(int argc, char** argv) {
   std::string socket_path, cache_dir, trace_out;
   std::size_t threads = 0, max_clients = 16;
-  engine::ShardPolicy shard_policy = engine::ShardPolicy::Adaptive;
   engine::CoalescePolicy coalesce;
   bool coalesce_flags_given = false;
   bool no_cache = false, stdio = false, daemonize = false;
@@ -129,7 +125,6 @@ int main(int argc, char** argv) {
       else if (arg == "--threads") threads = size_flag(arg, value(), ThreadPool::kMaxThreads);
       else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--cache-dir") cache_dir = value();
-      else if (arg == "--shard-policy") shard_policy = shard_policy_from(value());
       else if (arg == "--max-clients") max_clients = size_flag(arg, value(), 1024);
       else if (arg == "--coalesce-jobs") {
         coalesce.max_jobs = size_flag(arg, value(), 1u << 20);
@@ -138,7 +133,6 @@ int main(int argc, char** argv) {
         coalesce.max_delay_ms = size_flag(arg, value(), 60000);
         coalesce_flags_given = true;
       } else if (arg == "--hold-queue") coalesce.flush_on_idle = false;
-      else if (arg == "--adaptive-delay") coalesce.adaptive_delay = true;
       else if (arg == "--daemonize") daemonize = true;
       else if (arg == "--trace-out") trace_out = value();
       else if (arg == "--help" || arg == "-h") return usage(argv[0]);
@@ -179,12 +173,6 @@ int main(int argc, char** argv) {
                   "silently inert)\n");
       return 2;
     }
-    if (coalesce.flush_on_idle && coalesce.adaptive_delay) {
-      std::printf("error: --adaptive-delay requires --hold-queue (without a hold "
-                  "window there is no delay to adapt; --coalesce-delay-ms sets "
-                  "the adaptive ceiling)\n");
-      return 2;
-    }
 
     // Tracing is enabled for the daemon's whole lifetime and the ring is
     // flushed once, after the graceful drain — spans from every session
@@ -195,7 +183,6 @@ int main(int argc, char** argv) {
     options.engine.threads = threads;
     options.engine.use_cache = !no_cache;
     options.engine.cache_dir = cache_dir;
-    options.engine.shard_policy = shard_policy;
     options.engine.coalesce = coalesce;
     options.socket_path = socket_path;
     options.max_sessions = max_clients;
