@@ -111,9 +111,9 @@ int main() {
   gate.check_eq(static_cast<long long>(jobs.size()),
                 static_cast<long long>(loop_stats.batches),
                 "run() loop pays one dispatch per job");
-  gate.check(stream_stats.batches < jobs.size(),
-             "coalesced stream dispatches (" + std::to_string(stream_stats.batches) +
-                 ") < job count (" + std::to_string(jobs.size()) + ")");
+  // The counts vary run to run (the table above prints them); the metric
+  // string keys the trajectory cell, so it must not.
+  gate.check(stream_stats.batches < jobs.size(), "coalesced stream dispatches < job count");
   gate.check(stream_stats.coalesced_dispatches >= 1,
              "at least one dispatch carried more than one job");
   gate.check_eq(static_cast<long long>(jobs.size()),

@@ -73,6 +73,9 @@ void feed_pipeline_tag(Fnv2& h, const std::string& pipeline_tag) {
 
 }  // namespace
 
+AnalysisCache::AnalysisCache(std::shared_ptr<CacheStore> store)
+    : store_(std::move(store)) {}
+
 CacheKey AnalysisCache::graph_key(const Dfg& dfg) {
   Fnv2 h;
   feed_graph(h, dfg);
@@ -102,10 +105,6 @@ std::pair<CacheKey, CacheKey> AnalysisCache::content_keys(const Dfg& dfg,
   return {graph, h.key()};
 }
 
-std::shared_ptr<const PreparedGraph> AnalysisCache::prepare_graph(const Dfg& dfg) {
-  return prepare_graph(dfg, graph_key(dfg));
-}
-
 std::shared_ptr<const PreparedGraph> AnalysisCache::prepare_graph(const Dfg& dfg,
                                                                   const CacheKey& key) {
   {
@@ -133,7 +132,6 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
       obs::Registry::global().counter("cache.mem.hits");
   static obs::Counter& mem_misses =
       obs::Registry::global().counter("cache.mem.misses");
-  std::shared_ptr<CacheStore> store;
   {
     std::lock_guard lock(mutex_);
     const auto it = analyses_.find(key);
@@ -142,14 +140,13 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
       mem_hits.add();
       return it->second;
     }
-    store = store_;
   }
   mem_misses.add();
   // Memory miss: fall through to the disk tier outside the lock (file IO
   // must not serialize concurrent memory hits). A racing duplicate load is
   // harmless — identical content, last writer wins.
-  if (store != nullptr) {
-    if (auto loaded = store->load(key)) {
+  if (store_ != nullptr) {
+    if (auto loaded = store_->load(key)) {
       std::lock_guard lock(mutex_);
       ++stats_.analysis_hits;
       analyses_[key] = loaded;
@@ -163,23 +160,11 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
 
 void AnalysisCache::store_analysis(const CacheKey& key,
                                    std::shared_ptr<const AntichainAnalysis> value) {
-  std::shared_ptr<CacheStore> store;
   {
     std::lock_guard lock(mutex_);
     analyses_[key] = value;
-    store = store_;
   }
-  if (store != nullptr) store->store(key, *value);
-}
-
-void AnalysisCache::attach_store(std::shared_ptr<CacheStore> store) {
-  std::lock_guard lock(mutex_);
-  store_ = std::move(store);
-}
-
-CacheStore* AnalysisCache::disk_store() const {
-  std::lock_guard lock(mutex_);
-  return store_.get();
+  if (store_ != nullptr) store_->store(key, *value);
 }
 
 CacheStats AnalysisCache::stats() const {
@@ -190,12 +175,6 @@ CacheStats AnalysisCache::stats() const {
 std::size_t AnalysisCache::analysis_count() const {
   std::lock_guard lock(mutex_);
   return analyses_.size();
-}
-
-void AnalysisCache::clear() {
-  std::lock_guard lock(mutex_);
-  graphs_.clear();
-  analyses_.clear();
 }
 
 }  // namespace mpsched::engine

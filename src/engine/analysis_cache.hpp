@@ -18,11 +18,12 @@
 // (two independent FNV-1a streams over length-delimited fields) so
 // accidental collision is out of the question at any realistic corpus size.
 //
-// A CacheStore (engine/cache_store.hpp) can be attached as a second tier:
-// analysis lookups that miss in memory fall through to the cache
-// directory, and stores write through to it, so analyses persist across
-// processes. Disk-served lookups are published into the memory tier and
-// count as analysis hits (the disk tier keeps its own counters).
+// A CacheStore (engine/cache_store.hpp) given at construction is a second
+// tier, fixed for the cache's lifetime: analysis lookups that miss in
+// memory fall through to the cache directory, and stores write through to
+// it, so analyses persist across processes. Disk-served lookups are
+// published into the memory tier and count as analysis hits (the disk tier
+// keeps its own counters). The memory tiers have no eviction.
 //
 // Thread safety: all methods are safe to call concurrently; values are
 // immutable once published (shared_ptr<const T>).
@@ -77,6 +78,10 @@ struct CacheStats {
 
 class AnalysisCache {
  public:
+  /// `store` (nullptr → memory only) is the disk tier for this cache's
+  /// whole lifetime.
+  explicit AnalysisCache(std::shared_ptr<CacheStore> store = nullptr);
+
   /// Content key of the graph alone.
   static CacheKey graph_key(const Dfg& dfg);
 
@@ -101,33 +106,27 @@ class AnalysisCache {
                                                     std::optional<int> span_limit,
                                                     const std::string& pipeline_tag = {});
 
-  /// Memoized levels+closure; computes on miss.
-  std::shared_ptr<const PreparedGraph> prepare_graph(const Dfg& dfg);
-  /// Variant for callers that already hold the graph's content key.
+  /// Memoized levels+closure under the graph's content key (graph_key or
+  /// content_keys().first); computes on miss.
   std::shared_ptr<const PreparedGraph> prepare_graph(const Dfg& dfg,
                                                      const CacheKey& key);
 
   /// Pure lookups — the engine orchestrates the (sharded) computation
-  /// itself on a miss, then publishes with store_analysis(). With a store
-  /// attached, a memory miss falls through to disk before reporting one.
+  /// itself on a miss, then publishes with store_analysis(). With a disk
+  /// tier, a memory miss falls through to disk before reporting one.
   std::shared_ptr<const AntichainAnalysis> find_analysis(const CacheKey& key);
   void store_analysis(const CacheKey& key, std::shared_ptr<const AntichainAnalysis> value);
 
-  /// Attaches (or detaches, with nullptr) the disk tier. Replacing an
-  /// attached store is allowed; in-memory entries are kept either way.
-  void attach_store(std::shared_ptr<CacheStore> store);
-  /// The attached disk tier; nullptr when the cache is memory-only.
-  CacheStore* disk_store() const;
+  /// The disk tier; nullptr when the cache is memory-only.
+  CacheStore* disk_store() const noexcept { return store_.get(); }
 
   CacheStats stats() const;
   /// Number of cached analyses (not graphs) held in memory.
   std::size_t analysis_count() const;
-  /// Drops the in-memory tiers; the attached store (if any) is untouched.
-  void clear();
 
  private:
+  const std::shared_ptr<CacheStore> store_;
   mutable std::mutex mutex_;
-  std::shared_ptr<CacheStore> store_;
   std::unordered_map<CacheKey, std::shared_ptr<const PreparedGraph>, CacheKeyHash> graphs_;
   std::unordered_map<CacheKey, std::shared_ptr<const AntichainAnalysis>, CacheKeyHash>
       analyses_;

@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
 
 #include "antichain/analytic.hpp"
@@ -59,6 +60,21 @@ std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count,
   return roots;
 }
 
+/// Rejects options that would never do what they ask for; runs before
+/// any member (the disk tier's directory included) is built.
+EngineOptions validated(EngineOptions options) {
+  if (options.coalesce.max_jobs == 0)
+    throw std::invalid_argument(
+        "EngineOptions: coalesce.max_jobs must be >= 1 (a zero trigger would "
+        "never flush the admission queue)");
+  if (!options.coalesce.flush_on_idle && options.coalesce.max_delay_ms == 0)
+    throw std::invalid_argument(
+        "EngineOptions: coalesce.flush_on_idle=false requires max_delay_ms >= 1 "
+        "(a zero hold expires instantly, silently disabling the coalescing the "
+        "caller asked for)");
+  return options;
+}
+
 }  // namespace
 
 BatchResult collect_tickets(const std::vector<Ticket>& tickets) {
@@ -79,39 +95,21 @@ std::size_t BatchResult::succeeded() const {
   return n;
 }
 
-Engine::Engine(EngineOptions options) : options_(std::move(options)) {
-  // An engine that silently ran without its requested persistence would
-  // defeat the point of asking for it, so bad cache_dir configurations
-  // throw (like any bad option): a directory that cannot be used, or a
-  // directory combined with use_cache=false — with the cache off nothing
-  // would ever read or write the store.
-  if (!options_.cache_dir.empty() && !options_.use_cache)
-    throw std::invalid_argument(
-        "EngineOptions: cache_dir requires use_cache (a disk tier on a disabled "
-        "cache would never be read or written)");
-  if (options_.coalesce.max_jobs == 0)
-    throw std::invalid_argument(
-        "EngineOptions: coalesce.max_jobs must be >= 1 (a zero trigger would "
-        "never flush the admission queue)");
-  if (!options_.coalesce.flush_on_idle && options_.coalesce.max_delay_ms == 0)
-    throw std::invalid_argument(
-        "EngineOptions: coalesce.flush_on_idle=false requires max_delay_ms >= 1 "
-        "(a zero hold expires instantly, silently disabling the coalescing the "
-        "caller asked for)");
+// An engine that silently ran without its requested persistence would
+// defeat the point of asking for it, so a cache_dir that cannot be used
+// throws (from CacheStore) like any bad option.
+Engine::Engine(EngineOptions options)
+    : options_(validated(std::move(options))),
+      cache_(options_.cache_dir.empty()
+                 ? nullptr
+                 : std::make_shared<CacheStore>(options_.cache_dir)) {
   if (options_.threads > 0) owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
-  if (options_.cache == nullptr) owned_cache_ = std::make_unique<AnalysisCache>();
-  if (!options_.cache_dir.empty())
-    cache().attach_store(std::make_shared<CacheStore>(options_.cache_dir));
 }
 
 Engine::~Engine() { shutdown(); }
 
 ThreadPool& Engine::pool() {
   return owned_pool_ ? *owned_pool_ : ThreadPool::shared();
-}
-
-AnalysisCache& Engine::cache() {
-  return options_.cache != nullptr ? *options_.cache : *owned_cache_;
 }
 
 SubmissionQueue& Engine::queue() {
@@ -203,7 +201,6 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
 
   const std::size_t n_jobs = jobs.size();
   ThreadPool& workers = pool();
-  AnalysisCache& store = cache();
   const std::size_t worker_count = workers.thread_count() + 1;  // pool + caller
 
   // ---- Phase 0: resolve pipeline, transform, identify, deduplicate ------
@@ -223,19 +220,19 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     r.transforms = jobs[i].transforms;
   }
 
-  // Levels + closure per job. With the cache on, jobs are grouped by graph
-  // content key first so duplicate graphs compute their (expensive,
-  // O(V·E/64)) transitive closure exactly once even on a cold cache —
-  // concurrent misses on the same key would otherwise all recompute.
-  // Content hashing rides in its own fan-out: one canonical serialization
-  // per job yields both the graph and the analysis key; with the cache off
-  // none of it runs.
+  // Levels + closure per job. Jobs are grouped by graph content key first
+  // so duplicate graphs compute their (expensive, O(V·E/64)) transitive
+  // closure exactly once even on a cold cache — concurrent misses on the
+  // same key would otherwise all recompute.
   {
   obs::Span prepare_span("engine.prepare");
-  // Resolve each job's backend and transform stack, then run the
-  // transforms. Unknown names fail only that job. An empty stack aliases
-  // the caller's graph (no copy; `jobs` outlives the dispatch), so the
-  // default pipeline costs nothing here beyond the registry lookup.
+  // Resolve each job's backend and transform stack, run the transforms,
+  // then hash the effective graph: one canonical serialization yields both
+  // the graph and the analysis key. Unknown names fail only that job. An
+  // empty stack aliases the caller's graph (no copy; `jobs` outlives the
+  // dispatch), so the default pipeline costs nothing here beyond the
+  // registry lookup and the hash.
+  std::vector<CacheKey> graph_keys(n_jobs);
   workers.parallel_for(n_jobs, [&](std::size_t i) {
     JobResult& r = batch.jobs[i];
     Timer t;
@@ -254,108 +251,75 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     } catch (const std::exception& e) {
       r.error = std::string("pipeline: ") + e.what();
     }
-    r.timings.prepare_ms = t.millis();
-  });
-  if (options_.use_cache) {
-    std::vector<CacheKey> graph_keys(n_jobs);
-    workers.parallel_for(n_jobs, [&](std::size_t i) {
-      if (!batch.jobs[i].error.empty()) return;
-      Timer t;
+    if (r.error.empty()) {
       try {
-        const auto [graph_key, job_key] = AnalysisCache::content_keys(
+        std::tie(graph_keys[i], keys[i]) = AnalysisCache::content_keys(
             *graphs[i], jobs[i].select.generation, jobs[i].select.capacity,
             jobs[i].select.span_limit,
             pipeline_cache_tag(jobs[i].transforms, jobs[i].backend));
-        graph_keys[i] = graph_key;
-        keys[i] = job_key;
       } catch (const std::exception& e) {
-        batch.jobs[i].error = std::string("prepare: ") + e.what();
+        r.error = std::string("prepare: ") + e.what();
       }
-      batch.jobs[i].timings.prepare_ms += t.millis();
-    });
+    }
+    r.timings.prepare_ms = t.millis();
+  });
 
-    std::unordered_map<CacheKey, std::vector<std::size_t>, CacheKeyHash> by_graph;
-    for (std::size_t i = 0; i < n_jobs; ++i)
-      if (batch.jobs[i].error.empty()) by_graph[graph_keys[i]].push_back(i);
-    std::vector<std::vector<std::size_t>> graph_groups;
-    graph_groups.reserve(by_graph.size());
-    for (auto& [key, group] : by_graph) graph_groups.push_back(std::move(group));
+  std::unordered_map<CacheKey, std::vector<std::size_t>, CacheKeyHash> by_graph;
+  for (std::size_t i = 0; i < n_jobs; ++i)
+    if (batch.jobs[i].error.empty()) by_graph[graph_keys[i]].push_back(i);
+  std::vector<std::vector<std::size_t>> graph_groups;
+  graph_groups.reserve(by_graph.size());
+  for (auto& [key, group] : by_graph) graph_groups.push_back(std::move(group));
 
-    workers.parallel_for(graph_groups.size(), [&](std::size_t g) {
-      const std::vector<std::size_t>& group = graph_groups[g];
-      const std::size_t exemplar = group.front();
-      Timer t;
-      std::shared_ptr<const PreparedGraph> graph;
-      std::string error;
-      try {
-        graph = store.prepare_graph(*graphs[exemplar], graph_keys[exemplar]);
-      } catch (const std::exception& e) {
-        error = std::string("prepare: ") + e.what();
-      }
-      const double ms = t.millis();
-      for (const std::size_t i : group) {
-        prepared[i] = graph;
-        if (!error.empty()) batch.jobs[i].error = error;
-      }
-      // Charge the shared computation to the exemplar only, so summing
-      // prepare_ms across a results file reflects work actually done.
-      batch.jobs[exemplar].timings.prepare_ms += ms;
-    });
-  } else {
-    workers.parallel_for(n_jobs, [&](std::size_t i) {
-      if (!batch.jobs[i].error.empty()) return;
-      Timer t;
-      try {
-        prepared[i] = std::make_shared<PreparedGraph>(
-            PreparedGraph{compute_levels(*graphs[i]), Reachability(*graphs[i])});
-      } catch (const std::exception& e) {
-        batch.jobs[i].error = std::string("prepare: ") + e.what();
-      }
-      batch.jobs[i].timings.prepare_ms += t.millis();
-    });
-  }
+  workers.parallel_for(graph_groups.size(), [&](std::size_t g) {
+    const std::vector<std::size_t>& group = graph_groups[g];
+    const std::size_t exemplar = group.front();
+    Timer t;
+    std::shared_ptr<const PreparedGraph> graph;
+    std::string error;
+    try {
+      graph = cache_.prepare_graph(*graphs[exemplar], graph_keys[exemplar]);
+    } catch (const std::exception& e) {
+      error = std::string("prepare: ") + e.what();
+    }
+    const double ms = t.millis();
+    for (const std::size_t i : group) {
+      prepared[i] = graph;
+      if (!error.empty()) batch.jobs[i].error = error;
+    }
+    // Charge the shared computation to the exemplar only, so summing
+    // prepare_ms across a results file reflects work actually done.
+    batch.jobs[exemplar].timings.prepare_ms += ms;
+  });
   }
 
-  // Group jobs into analysis units. With the cache off, every job is its
-  // own unit — no memoization, no intra-batch sharing. Jobs whose backend
-  // composes its own patterns (needs_analysis() == false) skip enumeration
-  // entirely: no unit, no cache traffic, analysis_source stays None.
+  // Group jobs into analysis units, one per distinct analysis key the
+  // cache cannot serve. Jobs whose backend composes its own patterns
+  // (needs_analysis() == false) skip enumeration entirely: no unit, no
+  // cache traffic, analysis_source stays None.
   std::vector<AnalysisUnit> units;
-  if (options_.use_cache) {
-    std::unordered_map<CacheKey, std::size_t, CacheKeyHash> unit_of;
-    for (std::size_t i = 0; i < n_jobs; ++i) {
-      if (!batch.jobs[i].error.empty()) continue;
-      if (!backends[i]->needs_analysis()) continue;
-      if (auto hit = store.find_analysis(keys[i])) {
-        analysis[i] = std::move(hit);
-        batch.jobs[i].analysis_cache_hit = true;
-        batch.jobs[i].analysis_source = AnalysisSource::Reused;
-        ++batch.analyses_reused;
-        continue;
-      }
-      const auto [it, inserted] = unit_of.try_emplace(keys[i], units.size());
-      if (inserted) {
-        units.push_back(AnalysisUnit{});
-        units.back().key = keys[i];
-        units.back().exemplar_job = i;
-        batch.jobs[i].analysis_source = AnalysisSource::Computed;
-      } else {
-        batch.jobs[i].analysis_source = AnalysisSource::Reused;
-        ++batch.analyses_reused;
-      }
-      units[it->second].consumers.push_back(i);
+  std::unordered_map<CacheKey, std::size_t, CacheKeyHash> unit_of;
+  for (std::size_t i = 0; i < n_jobs; ++i) {
+    if (!batch.jobs[i].error.empty()) continue;
+    if (!backends[i]->needs_analysis()) continue;
+    if (auto hit = cache_.find_analysis(keys[i])) {
+      analysis[i] = std::move(hit);
+      batch.jobs[i].analysis_cache_hit = true;
+      batch.jobs[i].analysis_source = AnalysisSource::Reused;
+      ++batch.analyses_reused;
+      continue;
     }
-  } else {
-    for (std::size_t i = 0; i < n_jobs; ++i) {
-      if (!batch.jobs[i].error.empty()) continue;
-      if (!backends[i]->needs_analysis()) continue;
-      AnalysisUnit unit;
-      unit.key = keys[i];
-      unit.exemplar_job = i;
-      unit.consumers.push_back(i);
-      units.push_back(std::move(unit));
+    const auto [it, inserted] = unit_of.try_emplace(keys[i], units.size());
+    if (inserted) {
+      units.push_back(AnalysisUnit{});
+      units.back().key = keys[i];
+      units.back().exemplar_job = i;
       batch.jobs[i].analysis_source = AnalysisSource::Computed;
+    } else {
+      batch.jobs[i].analysis_source = AnalysisSource::Reused;
+      ++batch.analyses_reused;
     }
+    units[it->second].consumers.push_back(i);
   }
   batch.analyses_computed = units.size();
 
@@ -413,7 +377,7 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
   });
 
   // Merge + publish per unit, in parallel: merging is per-unit CPU work,
-  // and with a disk tier attached store_analysis writes a file — neither
+  // and with a disk tier store_analysis writes a file — neither
   // belongs on one thread while the pool idles after the shard phase.
   // (Publication order across units is irrelevant: keys are distinct, and
   // consumers read unit.result, not the cache, below.)
@@ -430,7 +394,7 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
             ? std::move(unit.shard_results.front())
             : merge_antichain_analyses(std::move(unit.shard_results),
                                        unit_dfg.node_count()));
-    if (options_.use_cache) store.store_analysis(unit.key, unit.result);
+    cache_.store_analysis(unit.key, unit.result);
   });
 
   for (const AnalysisUnit& unit : units) {
@@ -488,7 +452,7 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
   });
 
   batch.wall_ms = wall.millis();
-  batch.cache_stats = store.stats();
+  batch.cache_stats = cache_.stats();
   {
     std::lock_guard lock(stats_mutex_);
     ++stats_.batches;

@@ -7,7 +7,9 @@
 //   1. Deduplicate. Jobs are grouped by content-addressed analysis key
 //      (engine/analysis_cache.hpp); a batch with the same graph under the
 //      same generation options computes its antichain analysis once, and a
-//      warm cache skips the computation entirely.
+//      warm cache skips the computation entirely. Every engine owns exactly
+//      one AnalysisCache, built in its constructor (with the cache_dir disk
+//      tier, if any), and keeps it for its lifetime.
 //   2. Shard. Each analysis to compute is split by enumeration root into
 //      4 × workers chunks with a cyclic partition (shard s takes roots s,
 //      s+S, s+2S, …, so the expensive low-id roots spread out), and ALL
@@ -50,15 +52,9 @@ namespace mpsched::engine {
 struct EngineOptions {
   /// Worker threads for the engine's own pool; 0 = use ThreadPool::shared().
   std::size_t threads = 0;
-  /// Memoize analyses (across run_batch calls) and deduplicate identical
-  /// analyses within a batch. Off → every job computes its own analysis,
-  /// the honest baseline for measuring what the cache buys.
-  bool use_cache = true;
-  /// Shared external cache; nullptr → the engine owns a private one.
-  AnalysisCache* cache = nullptr;
-  /// Non-empty → attach a CacheStore on this directory to the cache in
-  /// use (owned or external), persisting analyses across processes.
-  /// Created if absent; safe to share between concurrent processes.
+  /// Non-empty → the engine's cache gets a CacheStore on this directory
+  /// as its disk tier, persisting analyses across processes. Created if
+  /// absent; safe to share between concurrent processes.
   std::string cache_dir;
   /// When the admission queue behind submit()/run_batch() flushes queued
   /// jobs into one shared dispatch (submission_queue.hpp). The default —
@@ -77,7 +73,8 @@ struct BatchResult {
   std::size_t analyses_computed = 0;
   /// Jobs served by the cache or by intra-batch deduplication.
   std::size_t analyses_reused = 0;
-  /// Cache counter snapshot after the batch (cumulative for shared caches).
+  /// The engine's cache counters at the end of the batch's dispatch
+  /// (cumulative over the engine's lifetime).
   CacheStats cache_stats{};
 
   std::size_t succeeded() const;
@@ -90,8 +87,7 @@ struct BatchResult {
 /// exception); `cache` is the AnalysisCache's counter snapshot captured
 /// at this engine's last completed dispatch — never mid-dispatch — so a
 /// stats() read always pairs dispatch counters with the cache traffic
-/// those dispatches produced. With an external shared cache it can
-/// include other engines' traffic up to that boundary.
+/// those dispatches produced.
 struct EngineStats {
   std::uint64_t batches = 0;  ///< dispatches executed (shared or singleton)
   std::uint64_t jobs = 0;
@@ -147,8 +143,8 @@ class Engine {
   void shutdown();
 
   const EngineOptions& options() const noexcept { return options_; }
-  /// The cache in use (owned or external).
-  AnalysisCache& cache();
+  /// The engine's cache.
+  AnalysisCache& cache() noexcept { return cache_; }
 
   /// Snapshot of the cumulative counters (thread-safe; dispatches may be
   /// executing concurrently — the snapshot is simply the last completed
@@ -166,7 +162,7 @@ class Engine {
 
   EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;
-  std::unique_ptr<AnalysisCache> owned_cache_;
+  AnalysisCache cache_;
   std::mutex stats_mutex_;
   EngineStats stats_;
   std::mutex queue_mutex_;  ///< guards lazy queue_ construction + shut_down_

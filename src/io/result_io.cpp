@@ -324,9 +324,4 @@ std::vector<Job> load_corpus(const std::string& path) {
   return corpus_from_json(load_json(path));
 }
 
-void save_batch_results(const BatchResult& batch, const std::string& path,
-                        bool include_diagnostics) {
-  save_json(batch_to_json(batch, include_diagnostics), path);
-}
-
 }  // namespace mpsched

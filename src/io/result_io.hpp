@@ -57,7 +57,5 @@ Json batch_to_json(const engine::BatchResult& batch, bool include_diagnostics = 
 /// File wrappers.
 void save_corpus(const std::vector<engine::Job>& jobs, const std::string& path);
 std::vector<engine::Job> load_corpus(const std::string& path);
-void save_batch_results(const engine::BatchResult& batch, const std::string& path,
-                        bool include_diagnostics = false);
 
 }  // namespace mpsched

@@ -210,10 +210,6 @@ Json Server::handle(const Request& request, Session& session) {
       case Op::Ping: {
         Json response = make_ok(request);
         response.set("protocol", kProtocol);
-        Json protocols = Json::array();
-        protocols.push_back(Json(kProtocolV1));
-        protocols.push_back(Json(kProtocol));
-        response.set("protocols", std::move(protocols));
         return response;
       }
 
@@ -225,14 +221,11 @@ Json Server::handle(const Request& request, Session& session) {
         if (request.op == Op::SubmitJob && request.jobs.size() != 1)
           return make_error(request.id, to_text(request.op),
                             "submit_job carries exactly one job");
-        // Blocking ops ride the same admission queue as everything else:
-        // submit the tickets, wait them out. Two sessions blocking here
-        // concurrently share one coalesced dispatch instead of queueing
-        // behind a server-side mutex.
-        Timer wall;
-        engine::BatchResult batch = engine::collect_tickets(engine_.submit_batch(request.jobs));
-        batch.wall_ms = wall.millis();
-        batch.cache_stats = engine_.cache().stats();
+        // Blocking ops ride the same admission queue as everything else
+        // (run_batch submits the tickets and waits them out). Two sessions
+        // blocking here concurrently share one coalesced dispatch instead
+        // of queueing behind a server-side mutex.
+        const engine::BatchResult batch = engine_.run_batch(request.jobs);
         Json response = make_ok(request);
         if (request.op == Op::Submit)
           response.set("results", batch_to_json(batch, request.diagnostics));
@@ -315,7 +308,9 @@ Json Server::handle(const Request& request, Session& session) {
         batch.wall_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - consumed.submitted)
                             .count();
-        batch.cache_stats = engine_.cache().stats();
+        // The dispatch-boundary snapshot, never a live cache read, which
+        // could land partway through a concurrent dispatch.
+        batch.cache_stats = engine_.stats().cache;
         response.set("results", batch_to_json(batch, consumed.diagnostics));
         response.set("analyses_computed", batch.analyses_computed);
         response.set("analyses_reused", batch.analyses_reused);

@@ -9,8 +9,8 @@
 // (stdin/stdout for `mpsched_serve --stdio`, stringstreams in tests) or
 // on a Unix-domain socket with one thread per connected client.
 //
-// Concurrency story (protocol v2): the server is written on the engine's
-// ticket API. Blocking ops (submit, submit_job) submit tickets and wait;
+// Concurrency story: the server is written on the engine's
+// ticket API. Blocking ops (submit, submit_job) go through run_batch();
 // async ops (submit_async / poll / wait / cancel) give every session a
 // pipeline of server-assigned request ids it can keep in flight. All
 // submissions — across every session — funnel into the engine's one
@@ -43,8 +43,7 @@
 namespace mpsched::service {
 
 struct ServerOptions {
-  /// Engine configuration (threads, cache, cache_dir, shard policy,
-  /// coalescing policy).
+  /// Engine configuration (threads, cache_dir, coalescing policy).
   engine::EngineOptions engine;
   /// Socket path for serve_socket(). Unix-domain socket paths are
   /// length-limited (~107 bytes); open_listen_socket rejects longer ones.
@@ -118,8 +117,8 @@ class Server {
   /// come back as {"ok":false,"error":...} responses. Thread-safe across
   /// distinct sessions; a Session itself belongs to one thread.
   Json handle(const Request& request, Session& session);
-  /// Stateless convenience (a throwaway session): fine for every v1 op;
-  /// an async request submitted through it can never be polled again.
+  /// Stateless convenience (a throwaway session): fine for every blocking
+  /// op; an async request submitted through it can never be polled again.
   Json handle(const Request& request);
 
   /// Parses one NDJSON line and dispatches it. Malformed lines yield an

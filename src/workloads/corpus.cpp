@@ -178,13 +178,6 @@ const std::vector<CorpusGroup>& corpus_groups() {
   return groups;
 }
 
-std::vector<std::string> corpus_group_names() {
-  std::vector<std::string> names;
-  names.reserve(corpus_groups().size());
-  for (const CorpusGroup& g : corpus_groups()) names.push_back(g.name);
-  return names;
-}
-
 const CorpusGroup& corpus_group(const std::string& name) {
   for (const CorpusGroup& g : corpus_groups())
     if (g.name == name) return g;

@@ -59,9 +59,6 @@ struct CorpusGroup {
 /// All registered groups, in registration order.
 const std::vector<CorpusGroup>& corpus_groups();
 
-/// Group names, in registration order.
-std::vector<std::string> corpus_group_names();
-
 /// Looks a group up by name; throws std::invalid_argument when unknown.
 const CorpusGroup& corpus_group(const std::string& name);
 

@@ -398,15 +398,5 @@ TEST_F(CacheStoreTest, ShardCostFilesFromEarlierBuildsAreIgnoredAndCleanedUp) {
   EXPECT_TRUE(fs::is_empty(dir()));
 }
 
-TEST_F(CacheStoreTest, CacheDirWithCacheDisabledIsAnError) {
-  // With use_cache off, nothing would ever read or write the store; an
-  // engine that silently dropped the requested persistence would defeat
-  // the point of asking for it.
-  EngineOptions options;
-  options.cache_dir = dir();
-  options.use_cache = false;
-  EXPECT_THROW(Engine{std::move(options)}, std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace mpsched

@@ -168,11 +168,10 @@ TEST(AnalysisCache, ContentAddressing) {
 }
 
 TEST(AnalysisCache, HitReturnsBitIdenticalAnalysis) {
-  AnalysisCache cache;
   EngineOptions options;
   options.threads = 2;
-  options.cache = &cache;
   Engine eng(options);
+  AnalysisCache& cache = eng.cache();
 
   Job job = Job::from_workload("paper_3dft");
   const engine::JobResult first = eng.run(job);
@@ -223,33 +222,22 @@ TEST(Engine, MatchesHandWiredPipeline) {
 }
 
 TEST(Engine, DeterministicAcrossThreadCountsAndCacheSettings) {
+  // Per thread count: a cold run, then a warm rerun on the same engine.
   const std::vector<Job> jobs = test_corpus();
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const bool use_cache : {true, false}) {
-      EngineOptions options;
-      options.threads = threads;
-      options.use_cache = use_cache;
-      Engine eng(options);
+    EngineOptions options;
+    options.threads = threads;
+    Engine eng(options);
+    for (const char* cache : {"cold", "warm"}) {
       const engine::BatchResult batch = eng.run_batch(jobs);
       EXPECT_EQ(batch.succeeded(), jobs.size());
       const std::string serialized = batch_to_json(batch).dump();
       if (reference.empty()) reference = serialized;
       EXPECT_EQ(serialized, reference)
-          << "results diverge at threads=" << threads << " cache=" << use_cache;
+          << "results diverge at threads=" << threads << " cache=" << cache;
     }
   }
-}
-
-TEST(Engine, CacheOffComputesEveryJob) {
-  EngineOptions options;
-  options.use_cache = false;
-  Engine eng(options);
-  const std::vector<Job> jobs = test_corpus();
-  const engine::BatchResult batch = eng.run_batch(jobs);
-  EXPECT_EQ(batch.analyses_computed, jobs.size());
-  EXPECT_EQ(batch.analyses_reused, 0u);
-  for (const engine::JobResult& r : batch.jobs) EXPECT_FALSE(r.analysis_cache_hit);
 }
 
 TEST(Engine, CacheOnDeduplicatesWithinBatch) {

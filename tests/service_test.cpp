@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -275,9 +276,8 @@ TEST_F(ServiceTest, CacheTrimOverTheProtocol) {
 }
 
 TEST_F(ServiceTest, DiagnosticsCarryRealWallTimeAndCacheCounters) {
-  // The ticket-based submit path must fill the batch-level diagnostics
-  // the v1 run_batch path used to: wall_ms and the cache snapshot — not
-  // zeros. Same for wait on an async request.
+  // The submit path must fill the batch-level diagnostics — wall_ms and
+  // the cache snapshot, not zeros. Same for wait on an async request.
   Server server(ServerOptions{});
   Request submit;
   submit.op = Op::Submit;
@@ -307,16 +307,51 @@ TEST_F(ServiceTest, DiagnosticsCarryRealWallTimeAndCacheCounters) {
   EXPECT_GT(async_diag.at("cache_analysis_hits").as_int(), 0);
 }
 
-TEST_F(ServiceTest, PingAdvertisesBothProtocols) {
+TEST_F(ServiceTest, PingAdvertisesProtocol) {
   Server server(ServerOptions{});
   Request ping;
   const Json response = server.handle(ping);
   ASSERT_TRUE(response.at("ok").as_bool());
   EXPECT_EQ(response.at("protocol").as_string(), service::kProtocol);
-  const auto& protocols = response.at("protocols").as_array();
-  ASSERT_EQ(protocols.size(), 2u);
-  EXPECT_EQ(protocols[0].as_string(), service::kProtocolV1);
-  EXPECT_EQ(protocols[1].as_string(), service::kProtocol);
+  EXPECT_EQ(response.find("protocols"), nullptr);
+}
+
+TEST_F(ServiceTest, SubmitCacheDiagnosticsAreDispatchBoundaryConsistent) {
+  // Engine.RunBatchCacheStatsAreDispatchBoundaryConsistent through the
+  // protocol: the cache counters in a submit's diagnostics must be a
+  // dispatch-boundary snapshot. Every submit carries 2 globally-distinct
+  // jobs, so each dispatch adds an even number of analysis misses and
+  // every snapshot reports an even count.
+  Server server(ServerOptions{});
+  std::atomic<int> violations{0};
+  std::atomic<int> next{0};
+  constexpr int kJobs = 32;  // fir taps 2..33, all distinct
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      for (;;) {
+        const int base = next.fetch_add(2, std::memory_order_relaxed);
+        if (base >= kJobs) break;
+        Request submit;
+        submit.op = Op::Submit;
+        submit.diagnostics = true;
+        submit.jobs.push_back(Job::from_workload("fir(" + std::to_string(2 + base) + ")"));
+        submit.jobs.push_back(Job::from_workload("fir(" + std::to_string(3 + base) + ")"));
+        const Json response = server.handle(submit);
+        if (!response.at("ok").as_bool()) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        const Json& diag = response.at("results").at("diagnostics");
+        if (diag.at("cache_analysis_misses").as_int() % 2 != 0)
+          violations.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& th : workers) th.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(server.engine().stats().cache.analysis_misses,
+            static_cast<std::uint64_t>(kJobs));
 }
 
 TEST_F(ServiceTest, AsyncSubmitPollWaitLifecycle) {

@@ -2,12 +2,12 @@
 //
 // Loads a JSON scenario corpus (job list), executes it on the engine, and
 // writes a JSON results file. The results are deterministic: the same
-// corpus produces byte-identical output at any --threads value, cache on
-// or off (memory or disk).
+// corpus produces byte-identical output at any --threads value, on a cold
+// or warm cache (memory or disk).
 //
 // Usage:
-//   mpsched_batch --corpus FILE --out FILE [--threads N] [--no-cache]
-//                 [--cache-dir DIR] [--cache-stats] [--require-full-cache]
+//   mpsched_batch --corpus FILE --out FILE [--threads N] [--cache-dir DIR]
+//                 [--cache-stats] [--require-full-cache]
 //                 [--diagnostics] [--compact] [--transforms LIST]
 //                 [--backend NAME]
 //   mpsched_batch --demo FILE        write the built-in 8-job demo corpus
@@ -54,8 +54,8 @@ namespace {
 int usage(const char* argv0) {
   std::printf(
       "usage:\n"
-      "  %s --corpus FILE --out FILE [--threads N] [--no-cache]\n"
-      "     [--cache-dir DIR] [--cache-stats] [--require-full-cache]\n"
+      "  %s --corpus FILE --out FILE [--threads N] [--cache-dir DIR]\n"
+      "     [--cache-stats] [--require-full-cache]\n"
       "     [--diagnostics] [--compact]\n"
       "     [--trace-out FILE] [--transforms t1,t2|none] [--backend NAME]\n"
       "  %s --demo FILE\n"
@@ -106,8 +106,8 @@ void print_cache_stats(engine::Engine& eng) {
 }
 
 /// Corpus → JSON → corpus → JSON fixpoint, plus engine determinism across
-/// thread counts and cache settings. Exercises exactly the properties the
-/// results file promises.
+/// thread counts and cache state (a cold run, then a warm rerun).
+/// Exercises exactly the properties the results file promises.
 int selftest() {
   const std::vector<engine::Job> jobs = demo_jobs();
 
@@ -122,27 +122,25 @@ int selftest() {
 
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    for (const bool use_cache : {true, false}) {
-      engine::EngineOptions options;
-      options.threads = threads;
-      options.use_cache = use_cache;
-      engine::Engine eng(options);
+    engine::EngineOptions options;
+    options.threads = threads;
+    engine::Engine eng(options);
+    for (const char* cache : {"cold", "warm"}) {
       const engine::BatchResult batch = eng.run_batch(jobs);
       if (batch.succeeded() != batch.jobs.size()) {
-        std::printf("FAIL: %zu jobs failed (threads=%zu cache=%d)\n",
-                    batch.jobs.size() - batch.succeeded(), threads, use_cache);
+        std::printf("FAIL: %zu jobs failed (threads=%zu cache=%s)\n",
+                    batch.jobs.size() - batch.succeeded(), threads, cache);
         return 1;
       }
       const std::string out = batch_to_json(batch).dump(2);
       if (reference.empty()) reference = out;
       if (out != reference) {
-        std::printf("FAIL: results differ at threads=%zu cache=%d\n", threads,
-                    use_cache);
+        std::printf("FAIL: results differ at threads=%zu cache=%s\n", threads, cache);
         return 1;
       }
     }
   }
-  std::printf("determinism: identical results JSON across threads {1,2} x cache {on,off}\n");
+  std::printf("determinism: identical results JSON across threads {1,2} x cache {cold,warm}\n");
   std::printf("selftest passed\n");
   return 0;
 }
@@ -153,7 +151,7 @@ int main(int argc, char** argv) {
   std::string corpus_path, out_path, demo_path, cache_dir, trace_out, backend;
   std::vector<std::string> transforms;
   std::size_t threads = 0, trim_age = 0, trim_max_bytes = 0;
-  bool no_cache = false, diagnostics = false, compact = false, list = false,
+  bool diagnostics = false, compact = false, list = false,
        run_selftest = false, cache_stats = false, require_full_cache = false,
        cache_trim = false, have_transforms = false, list_workloads = false,
        list_backends = false, list_transforms = false;
@@ -166,7 +164,6 @@ int main(int argc, char** argv) {
       else if (arg == "--out") out_path = value();
       else if (arg == "--demo") demo_path = value();
       else if (arg == "--threads") threads = size_flag(arg, value(), ThreadPool::kMaxThreads);
-      else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--cache-dir") cache_dir = value();
       else if (arg == "--cache-stats") cache_stats = true;
       else if (arg == "--cache-trim") cache_trim = true;
@@ -279,11 +276,6 @@ int main(int argc, char** argv) {
 
     if (corpus_path.empty() || out_path.empty()) return usage(argv[0]);
 
-    if (no_cache && !cache_dir.empty()) {
-      std::printf("error: --no-cache and --cache-dir are mutually exclusive\n");
-      return 2;
-    }
-
     // Tracing covers the whole run (queue waits, per-shard enumeration,
     // cache-tier access) and flushes once after the results are written.
     if (!trace_out.empty()) obs::set_tracing_enabled(true);
@@ -297,7 +289,6 @@ int main(int argc, char** argv) {
     }
     engine::EngineOptions options;
     options.threads = threads;
-    options.use_cache = !no_cache;
     options.cache_dir = cache_dir;
     engine::Engine eng(options);
     const engine::BatchResult batch = eng.run_batch(jobs);

@@ -7,7 +7,7 @@
 // submit a single job, query stats, trim the cache directory, shut down.
 //
 // Usage:
-//   mpsched_serve --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]
+//   mpsched_serve --socket PATH [--threads N] [--cache-dir DIR]
 //                 [--max-clients N] [--coalesce-jobs N]
 //                 [--coalesce-delay-ms MS] [--hold-queue] [--daemonize]
 //                 [--trace-out FILE]
@@ -59,7 +59,7 @@ namespace {
 int usage(const char* argv0) {
   std::printf(
       "usage:\n"
-      "  %s --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]\n"
+      "  %s --socket PATH [--threads N] [--cache-dir DIR]\n"
       "     [--max-clients N] [--coalesce-jobs N] [--coalesce-delay-ms MS]\n"
       "     [--hold-queue] [--daemonize] [--trace-out FILE]\n"
       "  %s --stdio [same engine flags]\n",
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   std::size_t threads = 0, max_clients = 16;
   engine::CoalescePolicy coalesce;
   bool coalesce_flags_given = false;
-  bool no_cache = false, stdio = false, daemonize = false;
+  bool stdio = false, daemonize = false;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
       if (arg == "--socket") socket_path = value();
       else if (arg == "--stdio") stdio = true;
       else if (arg == "--threads") threads = size_flag(arg, value(), ThreadPool::kMaxThreads);
-      else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--cache-dir") cache_dir = value();
       else if (arg == "--max-clients") max_clients = size_flag(arg, value(), 1024);
       else if (arg == "--coalesce-jobs") {
@@ -148,10 +147,6 @@ int main(int argc, char** argv) {
     }
     if (max_clients == 0) {
       std::printf("error: --max-clients must be at least 1\n");
-      return 2;
-    }
-    if (no_cache && !cache_dir.empty()) {
-      std::printf("error: --no-cache and --cache-dir are mutually exclusive\n");
       return 2;
     }
     if (daemonize && stdio) {
@@ -181,7 +176,6 @@ int main(int argc, char** argv) {
 
     service::ServerOptions options;
     options.engine.threads = threads;
-    options.engine.use_cache = !no_cache;
     options.engine.cache_dir = cache_dir;
     options.engine.coalesce = coalesce;
     options.socket_path = socket_path;
