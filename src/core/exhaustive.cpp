@@ -1,6 +1,6 @@
 #include "core/exhaustive.hpp"
 
-#include <algorithm>
+#include "util/bitset.hpp"
 
 namespace mpsched {
 
@@ -32,18 +32,8 @@ std::uint64_t combinations(std::uint64_t n, std::uint64_t k) {
 
 ExhaustiveResult exhaustive_pattern_search(const Dfg& dfg, const ExhaustiveOptions& options) {
   MPSCHED_REQUIRE(options.pattern_count >= 1, "Pdef must be positive");
-  dfg.validate();
-
-  std::vector<ColorId> colors;
-  {
-    std::vector<bool> seen(dfg.color_count(), false);
-    for (NodeId n = 0; n < dfg.node_count(); ++n)
-      if (!seen[dfg.color(n)]) {
-        seen[dfg.color(n)] = true;
-        colors.push_back(dfg.color(n));
-      }
-    std::sort(colors.begin(), colors.end());
-  }
+  MpScheduler scheduler(dfg, options.schedule);
+  const std::vector<ColorId>& colors = scheduler.used_colors();
   MPSCHED_REQUIRE(!colors.empty(), "graph has no nodes");
 
   std::vector<Pattern> universe;
@@ -56,6 +46,14 @@ ExhaustiveResult exhaustive_pattern_search(const Dfg& dfg, const ExhaustiveOptio
                 "exhaustive search would evaluate " + std::to_string(total) +
                     " pattern sets (limit " + std::to_string(options.max_combinations) + ")");
 
+  // Color mask per universe pattern: a combination covers the graph when
+  // the union of its members' masks is every used color.
+  std::vector<DynamicBitset> masks(universe.size(), DynamicBitset(dfg.color_count()));
+  for (std::size_t i = 0; i < universe.size(); ++i)
+    for (const ColorId c : universe[i].colors()) masks[i].set(c);
+  DynamicBitset all_colors(dfg.color_count());
+  for (const ColorId c : colors) all_colors.set(c);
+
   ExhaustiveResult result;
   result.cycles = SIZE_MAX;
 
@@ -66,15 +64,22 @@ ExhaustiveResult exhaustive_pattern_search(const Dfg& dfg, const ExhaustiveOptio
     MPSCHED_CHECK(false, "fewer candidate patterns than Pdef");
   }
 
+  std::vector<const Pattern*> members(idx.size());
+  DynamicBitset covered(dfg.color_count());
   while (true) {
-    PatternSet set;
-    for (const std::size_t i : idx) set.insert(universe[i]);
-    if (set.covers(colors)) {
-      const MpScheduleResult r = multi_pattern_schedule(dfg, set, options.schedule);
+    covered.clear();
+    for (const std::size_t i : idx) covered |= masks[i];
+    if (covered == all_colors) {
+      for (std::size_t k = 0; k < idx.size(); ++k) members[k] = &universe[idx[k]];
+      // Only a strictly shorter schedule replaces the incumbent, so runs
+      // that provably cannot beat it stop early (see mp_schedule.hpp). The
+      // first covering set runs unbounded: SIZE_MAX is kUnbounded.
+      const MpScheduleResult r = scheduler.run(members, result.cycles);
       ++result.sets_evaluated;
-      if (r.success && r.cycles < result.cycles) {
+      if (r.success) {
         result.cycles = r.cycles;
-        result.best = std::move(set);
+        result.best = PatternSet();
+        for (const std::size_t i : idx) result.best.insert(universe[i]);
       }
     } else {
       ++result.sets_skipped;

@@ -7,89 +7,117 @@
 
 namespace mpsched {
 
-namespace {
+MpScheduler::MpScheduler(const Dfg& dfg, const MpScheduleOptions& options)
+    : dfg_(dfg), options_(options) {
+  dfg.validate();
+  const std::size_t n_nodes = dfg.node_count();
 
-/// Computes S(p, CL): walk the sorted candidate list, admit a node when a
-/// slot of its color remains.
-std::vector<NodeId> selected_set(const Dfg& dfg, const Pattern& pattern,
-                                 const std::vector<NodeId>& sorted_candidates) {
-  std::vector<std::uint32_t> slots = pattern.slot_counts(dfg.color_count());
-  std::vector<NodeId> out;
-  out.reserve(pattern.size());
-  for (const NodeId n : sorted_candidates) {
-    std::uint32_t& free_slots = slots[dfg.color(n)];
-    if (free_slots > 0) {
-      --free_slots;
-      out.push_back(n);
-      if (out.size() == pattern.size()) break;  // pattern exhausted
+  std::vector<bool> seen(dfg.color_count(), false);
+  for (NodeId n = 0; n < n_nodes; ++n) {
+    if (!seen[dfg.color(n)]) {
+      seen[dfg.color(n)] = true;
+      used_colors_.push_back(dfg.color(n));
     }
   }
-  return out;
+  std::sort(used_colors_.begin(), used_colors_.end());
+
+  levels_ = compute_levels(dfg);
+  priorities_ =
+      compute_node_priorities(dfg, levels_, Reachability(dfg), options.priority_params);
+
+  initial_pending_.resize(n_nodes);
+  for (NodeId n = 0; n < n_nodes; ++n) initial_pending_[n] = dfg.preds(n).size();
+  pending_.resize(n_nodes);
+  in_candidates_.resize(n_nodes);
+  free_slots_.resize(dfg.color_count());
 }
 
-}  // namespace
+MpScheduleResult MpScheduler::run(const PatternSet& patterns, std::size_t bound) {
+  std::vector<const Pattern*> members;
+  members.reserve(patterns.size());
+  for (const Pattern& p : patterns) members.push_back(&p);
+  return run(members, bound);
+}
 
-MpScheduleResult multi_pattern_schedule(const Dfg& dfg, const PatternSet& patterns,
-                                        const MpScheduleOptions& options) {
+MpScheduleResult MpScheduler::run(std::span<const Pattern* const> patterns,
+                                  std::size_t bound) {
+  const Dfg& dfg = dfg_;
+  const std::size_t n_nodes = dfg.node_count();
+  const std::size_t n_colors = dfg.color_count();
+  const std::vector<std::int64_t>& f = priorities_.f;
+
   MpScheduleResult result;
-  result.schedule = Schedule(dfg.node_count());
-  if (dfg.node_count() == 0) {
+  result.schedule = Schedule(n_nodes);
+  if (n_nodes == 0) {
     result.success = true;
     return result;
   }
   MPSCHED_REQUIRE(!patterns.empty(), "pattern set must be non-empty");
-  dfg.validate();
 
-  // Coverage precondition: a color no pattern provides can never be
-  // scheduled, so the main loop would stall.
-  {
-    std::vector<ColorId> used_colors;
-    std::vector<bool> seen(dfg.color_count(), false);
-    for (NodeId n = 0; n < dfg.node_count(); ++n) {
-      if (!seen[dfg.color(n)]) {
-        seen[dfg.color(n)] = true;
-        used_colors.push_back(dfg.color(n));
-      }
+  // Per-pattern slot counts (the per-cycle capacity vectors), filled once
+  // per run. Coverage precondition: a color no pattern provides can never
+  // be scheduled, so the main loop would stall.
+  slots_.assign(patterns.size() * n_colors, 0);
+  std::size_t widest = 0;
+  bool out_of_range = false;
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    widest = std::max(widest, patterns[p]->size());
+    for (const ColorId c : patterns[p]->colors()) {
+      if (c < n_colors) ++slots_[p * n_colors + c];
+      else out_of_range = true;
     }
-    std::sort(used_colors.begin(), used_colors.end());
-    if (!patterns.covers(used_colors)) {
+  }
+  for (const ColorId c : used_colors_) {
+    bool provided = false;
+    for (std::size_t p = 0; p < patterns.size() && !provided; ++p)
+      provided = slots_[p * n_colors + c] > 0;
+    if (!provided) {
       result.error = "pattern set does not cover all colors of the graph";
       return result;
     }
   }
+  MPSCHED_REQUIRE(!out_of_range, "pattern color out of range for this graph");
+  result.priority_params = priorities_.params;
 
-  const Levels levels = compute_levels(dfg);
-  const Reachability reach(dfg);
-  const NodePriorities np =
-      compute_node_priorities(dfg, levels, reach, options.priority_params);
-  result.priority_params = np.params;
-
-  Rng rng(options.seed);
+  Rng rng(options_.seed);
 
   // Candidate list: nodes whose predecessors are all scheduled. Kept in
   // insertion (discovery) order between cycles; sorted stably by f each
   // cycle so ties preserve FIFO order under TieBreak::Stable.
-  std::vector<NodeId> candidate_list;
-  std::vector<char> in_candidate_list(dfg.node_count(), 0);
-  std::vector<std::size_t> pending_preds(dfg.node_count());
-  for (NodeId n = 0; n < dfg.node_count(); ++n) {
-    pending_preds[n] = dfg.preds(n).size();
-    if (pending_preds[n] == 0) {
-      candidate_list.push_back(n);
-      in_candidate_list[n] = 1;
-    }
+  std::vector<NodeId>& candidate_list = candidates_;
+  candidate_list.clear();
+  pending_ = initial_pending_;
+  for (NodeId n = 0; n < n_nodes; ++n) {
+    in_candidates_[n] = pending_[n] == 0;
+    if (in_candidates_[n]) candidate_list.push_back(n);
   }
+  selected_.resize(patterns.size());
+  score_.resize(patterns.size());
 
   std::size_t scheduled_count = 0;
   int cycle = 0;
 
-  while (scheduled_count < dfg.node_count()) {
-    MPSCHED_CHECK(static_cast<std::size_t>(cycle) < options.max_cycles,
+  while (scheduled_count < n_nodes) {
+    MPSCHED_CHECK(static_cast<std::size_t>(cycle) < options_.max_cycles,
                   "multi-pattern scheduling exceeded max_cycles");
     MPSCHED_ASSERT(!candidate_list.empty());
 
+    // Incumbent bound (file comment): stop once this run cannot finish in
+    // fewer than `bound` cycles.
+    if (bound != kUnbounded) {
+      int tallest = 0;
+      for (const NodeId n : candidate_list) tallest = std::max(tallest, levels_.height[n]);
+      const std::size_t remaining = n_nodes - scheduled_count;
+      const std::size_t needed = std::max(static_cast<std::size_t>(tallest),
+                                          (remaining + widest - 1) / widest);
+      if (static_cast<std::size_t>(cycle) + needed >= bound) {
+        result.error = kCutByBound;
+        return result;
+      }
+    }
+
     // Step 3 (Fig. 3): sort candidates by priority, high first.
-    switch (options.tie_break) {
+    switch (options_.tie_break) {
       case TieBreak::Stable:
         break;  // keep FIFO discovery order among ties
       case TieBreak::NodeIdAsc:
@@ -103,44 +131,57 @@ MpScheduleResult multi_pattern_schedule(const Dfg& dfg, const PatternSet& patter
         break;
     }
     std::stable_sort(candidate_list.begin(), candidate_list.end(),
-                     [&np](NodeId a, NodeId b) { return np.f[a] > np.f[b]; });
+                     [&f](NodeId a, NodeId b) { return f[a] > f[b]; });
 
-    // Step 4: selected set per pattern; step 5: score and pick.
-    std::vector<std::vector<NodeId>> selected(patterns.size());
-    std::vector<std::int64_t> score(patterns.size(), 0);
+    // Step 4: selected set S(p, CL) per pattern — walk the sorted
+    // candidates, admitting a node while a slot of its color remains.
+    // Step 5: score and pick.
     for (std::size_t p = 0; p < patterns.size(); ++p) {
-      selected[p] = selected_set(dfg, patterns[p], candidate_list);
-      if (options.rule == PatternRule::F1CoverCount) {
-        score[p] = static_cast<std::int64_t>(selected[p].size());
+      std::copy_n(slots_.begin() + static_cast<std::ptrdiff_t>(p * n_colors), n_colors,
+                  free_slots_.begin());
+      std::vector<NodeId>& selected = selected_[p];
+      selected.clear();
+      for (const NodeId n : candidate_list) {
+        std::uint32_t& free_slots = free_slots_[dfg.color(n)];
+        if (free_slots > 0) {
+          --free_slots;
+          selected.push_back(n);
+          if (selected.size() == patterns[p]->size()) break;  // pattern exhausted
+        }
+      }
+      score_[p] = 0;
+      if (options_.rule == PatternRule::F1CoverCount) {
+        score_[p] = static_cast<std::int64_t>(selected.size());
       } else {
-        for (const NodeId n : selected[p]) score[p] += np.f[n];
+        for (const NodeId n : selected) score_[p] += f[n];
       }
     }
 
     std::size_t best = 0;
-    if (options.random_pattern_ties) {
-      std::vector<std::size_t> best_set{0};
+    if (options_.random_pattern_ties) {
+      tied_.assign(1, 0);
       for (std::size_t p = 1; p < patterns.size(); ++p) {
-        if (score[p] > score[best_set.front()]) best_set.assign(1, p);
-        else if (score[p] == score[best_set.front()]) best_set.push_back(p);
+        if (score_[p] > score_[tied_.front()]) tied_.assign(1, p);
+        else if (score_[p] == score_[tied_.front()]) tied_.push_back(p);
       }
-      best = best_set[rng.below(best_set.size())];
+      best = tied_[rng.below(tied_.size())];
     } else {
       for (std::size_t p = 1; p < patterns.size(); ++p)
-        if (score[p] > score[best]) best = p;
+        if (score_[p] > score_[best]) best = p;
     }
 
-    if (options.record_trace) {
+    if (options_.record_trace) {
       MpTraceStep step;
       step.cycle = cycle + 1;
       step.candidates = candidate_list;
-      step.selected = selected;
-      step.pattern_score = score;
+      step.selected.assign(selected_.begin(), selected_.begin() +
+                                                  static_cast<std::ptrdiff_t>(patterns.size()));
+      step.pattern_score = score_;
       step.chosen_pattern = best;
       result.trace.push_back(std::move(step));
     }
 
-    const std::vector<NodeId>& chosen = selected[best];
+    const std::vector<NodeId>& chosen = selected_[best];
     MPSCHED_ASSERT(!chosen.empty());  // guaranteed by color coverage
 
     // Place the chosen nodes, then refresh the candidate list (step 6):
@@ -149,20 +190,19 @@ MpScheduleResult multi_pattern_schedule(const Dfg& dfg, const PatternSet& patter
     // deterministic and matches the paper's walkthrough.
     for (const NodeId n : chosen) {
       result.schedule.place(n, cycle);
-      in_candidate_list[n] = 0;
+      in_candidates_[n] = 0;
       ++scheduled_count;
     }
     result.schedule.set_cycle_pattern(cycle, best);
-    candidate_list.erase(
-        std::remove_if(candidate_list.begin(), candidate_list.end(),
-                       [&](NodeId n) { return result.schedule.is_scheduled(n); }),
-        candidate_list.end());
+    candidate_list.erase(std::remove_if(candidate_list.begin(), candidate_list.end(),
+                                        [this](NodeId n) { return !in_candidates_[n]; }),
+                         candidate_list.end());
     for (const NodeId n : chosen) {
       for (const NodeId s : dfg.succs(n)) {
-        MPSCHED_ASSERT(pending_preds[s] > 0);
-        if (--pending_preds[s] == 0 && !in_candidate_list[s]) {
+        MPSCHED_ASSERT(pending_[s] > 0);
+        if (--pending_[s] == 0 && !in_candidates_[s]) {
           candidate_list.push_back(s);
-          in_candidate_list[s] = 1;
+          in_candidates_[s] = 1;
         }
       }
     }
@@ -172,6 +212,11 @@ MpScheduleResult multi_pattern_schedule(const Dfg& dfg, const PatternSet& patter
   result.cycles = static_cast<std::size_t>(cycle);
   result.success = true;
   return result;
+}
+
+MpScheduleResult multi_pattern_schedule(const Dfg& dfg, const PatternSet& patterns,
+                                        const MpScheduleOptions& options) {
+  return MpScheduler(dfg, options).run(patterns);
 }
 
 std::string MpScheduleResult::trace_table(const Dfg& dfg, const PatternSet& patterns) const {

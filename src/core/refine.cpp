@@ -8,24 +8,12 @@ namespace mpsched {
 
 namespace {
 
-/// Colors used by the graph, sorted.
-std::vector<ColorId> used_colors(const Dfg& dfg) {
-  std::vector<bool> seen(dfg.color_count(), false);
-  std::vector<ColorId> out;
-  for (NodeId n = 0; n < dfg.node_count(); ++n)
-    if (!seen[dfg.color(n)]) {
-      seen[dfg.color(n)] = true;
-      out.push_back(dfg.color(n));
-    }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::size_t evaluate(const Dfg& dfg, const PatternSet& set, const MpScheduleOptions& options,
+std::size_t evaluate(MpScheduler& scheduler, const PatternSet& set, std::size_t bound,
                      std::size_t* evaluations) {
   ++*evaluations;
-  const MpScheduleResult r = multi_pattern_schedule(dfg, set, options);
-  // Non-covering sets are filtered before evaluation; treat failure as +inf.
+  const MpScheduleResult r = scheduler.run(set, bound);
+  // Non-covering sets are filtered before evaluation, and a run cut by the
+  // bound cannot beat it; treat either failure as +inf.
   return r.success ? r.cycles : SIZE_MAX;
 }
 
@@ -35,12 +23,13 @@ RefineResult refine_pattern_set(const Dfg& dfg, const AntichainAnalysis& analysi
                                 const PatternSet& initial, const RefineOptions& options) {
   MPSCHED_REQUIRE(!initial.empty(), "initial pattern set must be non-empty");
 
-  const std::vector<ColorId> colors = used_colors(dfg);
+  MpScheduler scheduler(dfg, options.schedule);
+  const std::vector<ColorId>& colors = scheduler.used_colors();
 
   RefineResult result;
   result.patterns = initial;
-  result.initial_cycles =
-      evaluate(dfg, result.patterns, options.schedule, &result.evaluations);
+  result.initial_cycles = evaluate(scheduler, result.patterns, MpScheduler::kUnbounded,
+                                   &result.evaluations);
   result.refined_cycles = result.initial_cycles;
 
   // Candidate pool: top patterns by antichain count.
@@ -64,8 +53,10 @@ RefineResult refine_pattern_set(const Dfg& dfg, const AntichainAnalysis& analysi
         for (std::size_t i = 0; i < result.patterns.size(); ++i)
           trial.insert(i == slot ? cand->pattern : result.patterns[i]);
         if (!trial.covers(colors)) continue;  // keep schedulability
+        // Only a strictly shorter schedule is accepted, so the incumbent
+        // is an exact bound for the trial.
         const std::size_t cycles =
-            evaluate(dfg, trial, options.schedule, &result.evaluations);
+            evaluate(scheduler, trial, result.refined_cycles, &result.evaluations);
         if (cycles < result.refined_cycles) {
           result.patterns = std::move(trial);
           result.refined_cycles = cycles;

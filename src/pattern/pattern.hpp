@@ -48,8 +48,8 @@ class Pattern {
   /// Returns a copy with `c` added (keeps canonical form).
   Pattern with_color(ColorId c) const;
 
-  /// Per-color slot counts as a dense vector of length `n_colors`;
-  /// the scheduler uses this as its per-cycle capacity vector.
+  /// Per-color slot counts as a dense vector of length `n_colors` (the
+  /// per-cycle capacity vector of the §4 scheduler).
   std::vector<std::uint32_t> slot_counts(std::size_t n_colors) const;
 
   /// Compact text form using the graph's color names, e.g. "aabcc".

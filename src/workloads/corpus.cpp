@@ -154,8 +154,10 @@ std::vector<std::string> demo_corpus_specs() {
 
 const std::vector<CorpusGroup>& corpus_groups() {
   // Sized for the tournament harness: every group stays small enough that
-  // the exhaustive backend — C(21, Pdef) scheduler runs per graph — is
-  // feasible on every member, including under ASan in CI.
+  // the exhaustive backend — up to C(21, Pdef) bounded scheduler runs per
+  // graph on one prepared scheduler — is cheap on every member. CI runs it
+  // over the paper, dft, kernels and random groups (the 21 "tournament
+  // graphs") in the Release and ASan legs.
   static const std::vector<CorpusGroup> groups = {
       {"paper",
        "the paper's graphs: Fig. 2 3-point DFT, Fig. 4 example, Winograd DFTs",

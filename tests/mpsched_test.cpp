@@ -162,6 +162,67 @@ TEST(MpScheduleTest, AllTieBreaksYieldValidSchedules) {
   }
 }
 
+// The incumbent bound is exact: a run bounded by its own unbounded cycle
+// count is cut, and a run bounded one cycle above returns the identical
+// schedule and trace. Also checks that one prepared scheduler serves many
+// sets exactly like the single-call multi_pattern_schedule.
+TEST(MpSchedulerTest, BoundCutsAtTheUnboundedLengthAndKeepsEverythingAbove) {
+  struct Case {
+    Dfg g;
+    PatternSet patterns;
+  };
+  std::vector<Case> cases;
+  {
+    Dfg g = workloads::paper_3dft();
+    PatternSet patterns = parse_pattern_set(g, "aabcc aaacc");
+    cases.push_back({std::move(g), std::move(patterns)});
+  }
+  for (const std::uint64_t seed : {11u, 22u, 33u}) {
+    Dfg g = test::random_dag(seed);
+    Rng rng(seed);
+    PatternSet patterns = test::random_patterns(g, rng, 1 + seed % 4);
+    cases.push_back({std::move(g), std::move(patterns)});
+  }
+
+  for (const TieBreak tb : {TieBreak::Stable, TieBreak::Random}) {
+    MpScheduleOptions options;
+    options.tie_break = tb;
+    options.random_pattern_ties = tb == TieBreak::Random;
+    options.seed = 7;
+    options.record_trace = true;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.g.name() + " " + c.patterns.to_string(c.g));
+      MpScheduler scheduler(c.g, options);
+      const MpScheduleResult full = scheduler.run(c.patterns);
+      ASSERT_TRUE(full.success) << full.error;
+
+      const MpScheduleResult cut = scheduler.run(c.patterns, full.cycles);
+      EXPECT_FALSE(cut.success);
+      EXPECT_EQ(cut.error, MpScheduler::kCutByBound);
+
+      const MpScheduleResult single = multi_pattern_schedule(c.g, c.patterns, options);
+      const MpScheduleResult kept = scheduler.run(c.patterns, full.cycles + 1);
+      for (const MpScheduleResult* r : {&single, &kept}) {
+        ASSERT_TRUE(r->success) << r->error;
+        EXPECT_EQ(r->cycles, full.cycles);
+        EXPECT_EQ(r->priority_params.s, full.priority_params.s);
+        EXPECT_EQ(r->priority_params.t, full.priority_params.t);
+        for (NodeId n = 0; n < c.g.node_count(); ++n)
+          EXPECT_EQ(r->schedule.cycle_of(n), full.schedule.cycle_of(n)) << "node " << n;
+        for (int cycle = 0; cycle < static_cast<int>(full.cycles); ++cycle)
+          EXPECT_EQ(r->schedule.cycle_pattern(cycle), full.schedule.cycle_pattern(cycle));
+        ASSERT_EQ(r->trace.size(), full.trace.size());
+        for (std::size_t i = 0; i < full.trace.size(); ++i) {
+          EXPECT_EQ(r->trace[i].candidates, full.trace[i].candidates);
+          EXPECT_EQ(r->trace[i].selected, full.trace[i].selected);
+          EXPECT_EQ(r->trace[i].pattern_score, full.trace[i].pattern_score);
+          EXPECT_EQ(r->trace[i].chosen_pattern, full.trace[i].chosen_pattern);
+        }
+      }
+    }
+  }
+}
+
 // Property sweep: random graph × random covering pattern set must produce
 // a complete, dependency-correct, resource-correct schedule with at least
 // critical-path length, and never more cycles than nodes.
