@@ -1,16 +1,20 @@
 // Performance scaling (google-benchmark): the computational kernels —
-// antichain enumeration (sequential vs shared-pool parallel), transitive
-// closure, pattern selection end-to-end, and the multi-pattern scheduler —
-// across graph sizes.
+// antichain enumeration (one sequential walk over all roots vs the
+// partition_roots() shards of enumerate_antichains() on the shared pool),
+// transitive closure, pattern selection end-to-end, and the multi-pattern
+// scheduler — across graph sizes.
 //
 // main() additionally pins the arena-enumerator speedup: the word-parallel
-// scratch-arena walk must beat the reference (copy-a-bitset-per-node)
-// enumerator by ≥2× on the Fig. 5 span workload, single shard, with
-// byte-identical analysis output — and writes the BENCH_perf_scaling.json
-// trajectory cell for it.
+// scratch-arena walk (one enumerate_antichain_roots() shard over all
+// roots) must beat the reference (copy-a-bitset-per-node) enumerator of
+// tests/reference_enumerate.hpp by ≥2× on the Fig. 5 span workload, with
+// byte-identical analysis output. The ratio is the median over paired,
+// interleaved (reference, arena) repetitions, and its spread is reported
+// beside it in the BENCH_perf_scaling.json trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "bench_common.hpp"
 #include "antichain/analytic.hpp"
@@ -19,6 +23,7 @@
 #include "core/select.hpp"
 #include "graph/closure.hpp"
 #include "pattern/random.hpp"
+#include "reference_enumerate.hpp"
 #include "util/timer.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -27,6 +32,12 @@
 namespace {
 
 using namespace mpsched;
+
+std::vector<NodeId> all_roots(const Dfg& g) {
+  std::vector<NodeId> roots(g.node_count());
+  std::iota(roots.begin(), roots.end(), NodeId{0});
+  return roots;
+}
 
 Dfg sized_dag(std::int64_t nodes_hint) {
   workloads::LayeredDagOptions options;
@@ -54,15 +65,18 @@ void BM_AntichainEnumeration(benchmark::State& state) {
   EnumerateOptions options;
   options.max_size = 5;
   options.span_limit = 1;  // library default
-  options.parallel = state.range(1) != 0;
+  const bool sharded = state.range(1) != 0;
+  const std::vector<NodeId> roots = all_roots(g);
   std::uint64_t total = 0;
   for (auto _ : state) {
-    const AntichainAnalysis analysis = enumerate_antichains(g, lv, reach, options);
+    const AntichainAnalysis analysis =
+        sharded ? enumerate_antichains(g, lv, reach, options)
+                : enumerate_antichain_roots(g, lv, reach, options, roots);
     total = analysis.total;
     benchmark::DoNotOptimize(analysis.per_pattern.size());
   }
   state.SetLabel(std::to_string(g.node_count()) + " nodes, " + std::to_string(total) +
-                 " antichains, " + (options.parallel ? "parallel" : "serial"));
+                 " antichains, " + (sharded ? "parallel" : "serial"));
   state.SetItemsProcessed(static_cast<std::int64_t>(total) *
                           static_cast<std::int64_t>(state.iterations()));
 }
@@ -146,23 +160,26 @@ bool analyses_identical(const AntichainAnalysis& a, const AntichainAnalysis& b) 
   return true;
 }
 
-/// Best-of-reps wall time of `fn`, with enough inner iterations per rep to
-/// dominate clock noise. Minimum (not mean) so co-scheduled load only ever
-/// inflates, never deflates, a measurement.
+/// Wall time per call of `fn`, over `iterations` back-to-back calls.
 template <typename Fn>
-double best_seconds(Fn&& fn, int iterations, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    mpsched::Timer timer;
-    for (int i = 0; i < iterations; ++i) fn();
-    best = std::min(best, timer.seconds() / iterations);
-  }
-  return best;
+double seconds_per_call(Fn&& fn, int iterations) {
+  mpsched::Timer timer;
+  for (int i = 0; i < iterations; ++i) fn();
+  return timer.seconds() / iterations;
+}
+
+/// The q-quantile (0 ≤ q ≤ 1) of `values`, linearly interpolated.
+double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
 /// The pinned arena-vs-reference enumeration gate on the Fig. 5 span
-/// workload (3DFT, max_size 4 — the population Theorem 1 is checked over),
-/// single shard (parallel off), exercised through both public entry points.
+/// workload (3DFT, max_size 4 — the population Theorem 1 is checked over):
+/// the arena walk is one enumerate_antichain_roots() shard over all roots.
 int run_enumeration_speedup_gate() {
   bench::Gate gate("perf_scaling");
   gate.workload("fig5-span-3dft");
@@ -170,45 +187,63 @@ int run_enumeration_speedup_gate() {
   const Dfg g = workloads::paper_3dft();
   const Levels lv = compute_levels(g);
   const Reachability reach(g);
+  const std::vector<NodeId> roots = all_roots(g);
   EnumerateOptions options;
   options.max_size = 4;
-  options.parallel = false;
 
   // Byte-identity first: the representation change must be invisible in
   // the analysis (member lists included).
   {
     EnumerateOptions with_members = options;
     with_members.collect_members = true;
-    const AntichainAnalysis ref = enumerate_antichains_reference(g, lv, reach, with_members);
-    const AntichainAnalysis arena = enumerate_antichains(g, lv, reach, with_members);
+    const AntichainAnalysis ref = test::enumerate_antichains_reference(g, lv, reach, with_members);
+    const AntichainAnalysis arena = enumerate_antichain_roots(g, lv, reach, with_members, roots);
     gate.check(analyses_identical(ref, arena),
                "arena enumerator byte-identical to reference (collect_members)");
     gate.check_eq(3808, static_cast<long long>(arena.total),
                   "fig5 span workload antichain population");
   }
 
+  const auto reference = [&] {
+    benchmark::DoNotOptimize(test::enumerate_antichains_reference(g, lv, reach, options));
+  };
+  const auto arena = [&] {
+    benchmark::DoNotOptimize(enumerate_antichain_roots(g, lv, reach, options, roots));
+  };
+
   // Calibrate the inner iteration count off the reference walk so one rep
   // lasts ~50ms on any build type (Release and ASan/Debug legs both time
-  // meaningfully), then take best-of-5 for both kernels.
-  mpsched::Timer calibrate;
-  (void)enumerate_antichains_reference(g, lv, reach, options);
-  const double once = std::max(calibrate.seconds(), 1e-6);
+  // meaningfully). Then time paired repetitions, alternating which kernel
+  // runs first, so drift and co-scheduled load hit both sides of a pair
+  // alike; the gate takes the median of the per-pair ratios.
+  const double once = std::max(seconds_per_call(reference, 1), 1e-6);
   const int iterations = std::clamp(static_cast<int>(0.05 / once), 1, 200);
+  constexpr int kPairs = 15;
+  std::vector<double> ref_s, arena_s, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double r = 0.0, a = 0.0;
+    if (pair % 2 == 0) {
+      r = seconds_per_call(reference, iterations);
+      a = seconds_per_call(arena, iterations);
+    } else {
+      a = seconds_per_call(arena, iterations);
+      r = seconds_per_call(reference, iterations);
+    }
+    ref_s.push_back(r);
+    arena_s.push_back(a);
+    ratios.push_back(r / a);
+  }
+  const double speedup = quantile(ratios, 0.5);
+  const double spread = (quantile(ratios, 0.75) - quantile(ratios, 0.25)) / speedup;
 
-  const double ref_s = best_seconds(
-      [&] { benchmark::DoNotOptimize(enumerate_antichains_reference(g, lv, reach, options)); },
-      iterations, 5);
-  const double arena_s = best_seconds(
-      [&] { benchmark::DoNotOptimize(enumerate_antichains(g, lv, reach, options)); },
-      iterations, 5);
-  const double speedup = ref_s / arena_s;
-
-  std::printf("\nFig. 5 span workload, single shard: reference %.3f ms, arena %.3f ms, "
-              "speedup %.2fx\n",
-              ref_s * 1e3, arena_s * 1e3, speedup);
-  gate.info("reference enumerate ms", ref_s * 1e3);
-  gate.info("arena enumerate ms", arena_s * 1e3);
+  std::printf("\nFig. 5 span workload, single shard, %d paired reps: reference %.3f ms, "
+              "arena %.3f ms, speedup %.2fx (median ratio; IQR/median %.3f)\n",
+              kPairs, quantile(ref_s, 0.5) * 1e3, quantile(arena_s, 0.5) * 1e3, speedup,
+              spread);
+  gate.info("reference enumerate ms", quantile(ref_s, 0.5) * 1e3);
+  gate.info("arena enumerate ms", quantile(arena_s, 0.5) * 1e3);
   gate.check_min(2.0, speedup, "single-shard enumeration speedup (arena vs reference)");
+  gate.info("single-shard enumeration speedup spread (IQR / median)", spread);
 
   return gate.finish("perf scaling (arena enumerator identity + pinned >=2x speedup)");
 }

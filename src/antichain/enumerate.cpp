@@ -6,7 +6,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "antichain/span.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 
@@ -45,7 +44,7 @@ struct PatternKeyEq {
   }
 };
 
-/// Per-thread accumulator; merged deterministically after the fan-out.
+/// One walk's accumulator; emitted in canonical order by emit_per_pattern().
 struct Accumulator {
   struct Entry {
     std::uint64_t count = 0;
@@ -71,13 +70,13 @@ struct SearchContext {
 };
 
 /// Chunked accounting against the shared max_antichains counter: each
-/// worker batches kChunk recorded antichains locally and publishes them
+/// walk batches kChunk recorded antichains locally and publishes them
 /// with one fetch_add, so the hot path touches the shared cache line once
 /// per chunk instead of once per antichain. The limit stays exact in the
 /// threshold sense: partial sums only ever reach the true total, so a
 /// flush observes a count above the limit iff the enumeration really
 /// produced more than max_antichains — the same workloads trip it, the
-/// same workloads pass (flush_final() guarantees the last pending batch
+/// same workloads pass (Walker::finish() guarantees the last pending batch
 /// is always published).
 class CountBudget {
  public:
@@ -106,7 +105,7 @@ class CountBudget {
   std::uint64_t pending_ = 0;
 };
 
-/// One worker's depth-first walk over the subtrees of its assigned roots,
+/// One shard's depth-first walk over the subtrees of its roots,
 /// on arena-style scratch: a preallocated max_depth × word_count mask
 /// stack replaces the per-node `DynamicBitset next_compat = compat` heap
 /// copy, the candidate probe is a fused word-parallel AND+countr_zero
@@ -157,7 +156,7 @@ class Walker {
   }
 
   /// Publishes the last pending chunk (and trips the limit check if the
-  /// total crossed it). Must be called once after the worker's last root.
+  /// total crossed it). Must be called once after the shard's last root.
   void finish() { budget_.flush(); }
 
  private:
@@ -266,59 +265,6 @@ class Walker {
   std::vector<std::uint64_t*> span_rows_;    // by_size_span row pointers
 };
 
-// ---------------------------------------------------------------------------
-// Reference enumerator — the original copy-per-node recursion, kept as the
-// validation oracle for the arena kernel (byte-identity tests and the
-// pinned speedup gate in bench_perf_scaling). Strictly sequential.
-// ---------------------------------------------------------------------------
-
-void record_reference(const SearchContext& ctx, Accumulator& acc,
-                      const std::vector<NodeId>& stack, int span) {
-  acc.total += 1;
-  acc.by_size_span[stack.size()][static_cast<std::size_t>(span)] += 1;
-
-  std::vector<ColorId> colors;
-  colors.reserve(stack.size());
-  for (const NodeId n : stack) colors.push_back(ctx.dfg.color(n));
-  Pattern pattern(std::move(colors));
-
-  auto& entry = acc.per_pattern[pattern];
-  if (entry.node_frequency.empty()) entry.node_frequency.assign(ctx.dfg.node_count(), 0);
-  entry.count += 1;
-  for (const NodeId n : stack) entry.node_frequency[n] += 1;
-  if (ctx.options.collect_members) entry.members.push_back(stack);
-
-  const std::uint64_t seen = ctx.global_count->fetch_add(1, std::memory_order_relaxed) + 1;
-  MPSCHED_CHECK(seen <= ctx.options.max_antichains,
-                "antichain enumeration exceeded the max_antichains safety limit (" +
-                    std::to_string(ctx.options.max_antichains) + ")");
-}
-
-void extend_reference(const SearchContext& ctx, Accumulator& acc, std::vector<NodeId>& stack,
-                      const DynamicBitset& compat, SpanTracker tracker) {
-  if (stack.size() >= ctx.options.max_size) return;
-  const std::size_t n = ctx.dfg.node_count();
-  for (std::size_t j = compat.find_next(stack.back() + 1); j < n; j = compat.find_next(j + 1)) {
-    const auto node = static_cast<NodeId>(j);
-    const int new_span = tracker.span_with(node, ctx.levels);
-    if (new_span > ctx.effective_span_limit) continue;
-    stack.push_back(node);
-    record_reference(ctx, acc, stack, new_span);
-    DynamicBitset next_compat = compat;
-    next_compat &= ctx.reach.parallel_mask(node);
-    extend_reference(ctx, acc, stack, next_compat, tracker.with(node, ctx.levels));
-    stack.pop_back();
-  }
-}
-
-void enumerate_from_root_reference(const SearchContext& ctx, Accumulator& acc, NodeId root) {
-  std::vector<NodeId> stack{root};
-  SpanTracker tracker;
-  tracker = tracker.with(root, ctx.levels);
-  record_reference(ctx, acc, stack, 0);
-  extend_reference(ctx, acc, stack, ctx.reach.parallel_mask(root), tracker);
-}
-
 /// Folds one partial per-pattern record into a merge entry.
 void accumulate_entry(Accumulator::Entry& dst, std::uint64_t count,
                       const std::vector<std::uint64_t>& node_frequency,
@@ -333,8 +279,8 @@ void accumulate_entry(Accumulator::Entry& dst, std::uint64_t count,
   for (auto& m : members) dst.members.push_back(std::move(m));
 }
 
-/// Shared precondition checks for every enumeration entry point; returns
-/// the span limit clamped to ASAPmax (spans can never exceed it).
+/// Precondition checks for a walk; returns the span limit clamped to
+/// ASAPmax (spans can never exceed it).
 int validate_and_clamp_span(const Dfg& dfg, const Levels& levels,
                             const Reachability& reach, const EnumerateOptions& options) {
   MPSCHED_REQUIRE(options.max_size >= 1, "max_size must be at least 1");
@@ -350,8 +296,8 @@ int validate_and_clamp_span(const Dfg& dfg, const Levels& levels,
 }
 
 /// Ordered merge map → the canonical sorted per_pattern vector. The single
-/// emission point for every enumeration path keeps sharded-and-merged
-/// output bit-identical to the monolithic enumerator by construction.
+/// emission point for shards and merges keeps any partition's merged
+/// output bit-identical to a single-shard walk by construction.
 std::vector<PatternAntichains> emit_per_pattern(
     std::map<Pattern, Accumulator::Entry>&& merged, bool sort_members) {
   std::vector<PatternAntichains> out;
@@ -389,76 +335,26 @@ const PatternAntichains* AntichainAnalysis::find(const Pattern& p) const {
   return nullptr;
 }
 
+std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count, std::size_t workers) {
+  const std::size_t shards = std::clamp<std::size_t>(workers * kShardsPerThread, 1,
+                                                     std::max<std::size_t>(node_count, 1));
+  std::vector<std::vector<NodeId>> roots(shards);
+  for (std::size_t r = 0; r < node_count; ++r) roots[r % shards].push_back(static_cast<NodeId>(r));
+  return roots;
+}
+
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const Levels& levels,
                                        const Reachability& reach,
                                        const EnumerateOptions& options) {
-  const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
-  const int span_cap = levels.asap_max;
-
-  std::atomic<std::uint64_t> global_count{0};
-  SearchContext ctx{dfg, levels, reach, options, effective_limit, &global_count};
-
-  const std::size_t n = dfg.node_count();
-  const auto span_hist_size = static_cast<std::size_t>(span_cap);
-
-  std::vector<Accumulator> accumulators;
-  if (options.parallel && n >= 2) {
-    ThreadPool& pool = ThreadPool::shared();
-    const std::size_t n_workers = pool.thread_count() + 1;  // pool + caller
-    accumulators.assign(n_workers, Accumulator(options.max_size, span_hist_size));
-    // Cyclic root assignment: worker w handles roots w, w+W, w+2W, ... so
-    // the expensive low-id roots (largest subtrees) spread across workers.
-    pool.parallel_for(n_workers, [&](std::size_t w) {
-      Walker walker(ctx, accumulators[w]);
-      for (NodeId root = static_cast<NodeId>(w); root < n;
-           root = static_cast<NodeId>(root + n_workers))
-        walker.run_root(root);
-      walker.finish();
-    });
-  } else {
-    accumulators.assign(1, Accumulator(options.max_size, span_hist_size));
-    Walker walker(ctx, accumulators[0]);
-    for (NodeId root = 0; root < n; ++root) walker.run_root(root);
-    walker.finish();
-  }
-
-  // Deterministic merge: ordered map keyed by canonical pattern ordering.
-  std::map<Pattern, Accumulator::Entry> merged;
-  AntichainAnalysis out;
-  out.count_by_size_span.assign(options.max_size + 1,
-                                std::vector<std::uint64_t>(span_hist_size + 1, 0));
-  for (Accumulator& acc : accumulators) {
-    out.total += acc.total;
-    for (std::size_t s = 0; s < acc.by_size_span.size(); ++s)
-      for (std::size_t k = 0; k < acc.by_size_span[s].size(); ++k)
-        out.count_by_size_span[s][k] += acc.by_size_span[s][k];
-    for (auto& [pattern, entry] : acc.per_pattern)
-      accumulate_entry(merged[pattern], entry.count, entry.node_frequency,
-                       std::move(entry.members), dfg.node_count());
-  }
-  out.per_pattern = emit_per_pattern(std::move(merged), options.collect_members);
-  return out;
-}
-
-AntichainAnalysis enumerate_antichains_reference(const Dfg& dfg, const Levels& levels,
-                                                const Reachability& reach,
-                                                const EnumerateOptions& options) {
-  const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
-
-  std::atomic<std::uint64_t> global_count{0};
-  SearchContext ctx{dfg, levels, reach, options, effective_limit, &global_count};
-
-  Accumulator acc(options.max_size, static_cast<std::size_t>(levels.asap_max));
-  for (NodeId root = 0; root < dfg.node_count(); ++root)
-    enumerate_from_root_reference(ctx, acc, root);
-
-  std::map<Pattern, Accumulator::Entry> ordered;
-  for (auto& [pattern, entry] : acc.per_pattern) ordered[pattern] = std::move(entry);
-  AntichainAnalysis out;
-  out.total = acc.total;
-  out.count_by_size_span = std::move(acc.by_size_span);
-  out.per_pattern = emit_per_pattern(std::move(ordered), options.collect_members);
-  return out;
+  ThreadPool& pool = ThreadPool::shared();
+  const std::vector<std::vector<NodeId>> roots =
+      partition_roots(dfg.node_count(), pool.thread_count() + 1);  // pool + caller
+  std::atomic<std::uint64_t> enumerated{0};
+  std::vector<AntichainAnalysis> shards(roots.size());
+  pool.parallel_for(roots.size(), [&](std::size_t s) {
+    shards[s] = enumerate_antichain_roots(dfg, levels, reach, options, roots[s], &enumerated);
+  });
+  return merge_antichain_analyses(std::move(shards), dfg.node_count());
 }
 
 AntichainAnalysis enumerate_antichain_roots(const Dfg& dfg, const Levels& levels,
@@ -494,6 +390,7 @@ AntichainAnalysis enumerate_antichain_roots(const Dfg& dfg, const Levels& levels
 
 AntichainAnalysis merge_antichain_analyses(std::vector<AntichainAnalysis> parts,
                                            std::size_t node_count) {
+  if (parts.size() == 1) return std::move(parts.front());
   AntichainAnalysis out;
   // Dimensions are uniform across shards of one graph + options; take the
   // maximum so merging an empty shard list still yields an empty analysis.
@@ -525,16 +422,6 @@ AntichainAnalysis enumerate_antichains(const Dfg& dfg, const EnumerateOptions& o
   const Levels levels = compute_levels(dfg);
   const Reachability reach(dfg);
   return enumerate_antichains(dfg, levels, reach, options);
-}
-
-std::vector<std::vector<std::uint64_t>> count_antichains_by_size_span(
-    const Dfg& dfg, const Levels& levels, const Reachability& reach, std::size_t max_size,
-    bool parallel) {
-  EnumerateOptions options;
-  options.max_size = max_size;
-  options.parallel = parallel;
-  // Classification is cheap relative to the walk; reuse the main path.
-  return enumerate_antichains(dfg, levels, reach, options).count_by_size_span;
 }
 
 }  // namespace mpsched

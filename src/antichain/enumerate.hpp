@@ -14,9 +14,11 @@
 // the subtree, not just the leaf.
 //
 // Parallelism: the search forest is partitioned by the antichain's minimum
-// node id; workers claim roots through the shared thread pool and merge
-// per-thread accumulators at the end. Results are canonically sorted, so
-// output is identical for any thread count.
+// node id with partition_roots() — the one shard plan, shared with the
+// batch engine (src/engine). enumerate_antichains() walks the shards on the
+// shared thread pool and merges them with merge_antichain_analyses().
+// Results are canonically sorted, so output is identical for any thread
+// count. A sequential walk is enumerate_antichain_roots() over all roots.
 #pragma once
 
 #include <atomic>
@@ -40,8 +42,6 @@ struct EnumerateOptions {
   /// Also store the explicit member lists per pattern (small graphs only —
   /// memory grows with the antichain count).
   bool collect_members = false;
-  /// Use the shared thread pool. Off → strictly sequential.
-  bool parallel = true;
   /// Safety valve: abort with an exception if more than this many
   /// antichains would be enumerated (guards accidental explosion).
   std::uint64_t max_antichains = 500'000'000;
@@ -76,34 +76,16 @@ struct AntichainAnalysis {
   const PatternAntichains* find(const Pattern& p) const;
 };
 
-/// Runs the enumeration. `levels` and `reach` must belong to `dfg`.
-///
-/// The walk runs on arena-style scratch: one preallocated
-/// min(max_size, n) × word_count mask stack per worker (word-wise AND into
-/// the next depth's slot — no allocation per node), a fused word-parallel
-/// candidate probe (DynamicBitset::for_each_set_from), and chunk-batched
-/// accounting against the shared max_antichains counter.
+/// Runs the enumeration: partition_roots() for ThreadPool::shared(), one
+/// enumerate_antichain_roots() per shard on that pool, all shards sharing
+/// one max_antichains counter, merged by merge_antichain_analyses().
+/// `levels` and `reach` must belong to `dfg`.
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const Levels& levels,
                                        const Reachability& reach,
                                        const EnumerateOptions& options = {});
 
-/// Validation oracle: the original copy-a-DynamicBitset-per-node,
-/// bit-at-a-time recursion, strictly sequential (`options.parallel` is
-/// ignored). Kept so tests can gate byte-identity of the arena kernel
-/// against the naive walk and bench_perf_scaling can pin the speedup;
-/// never use it for real workloads.
-AntichainAnalysis enumerate_antichains_reference(const Dfg& dfg, const Levels& levels,
-                                                const Reachability& reach,
-                                                const EnumerateOptions& options = {});
-
 /// Convenience overload computing levels and reachability internally.
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const EnumerateOptions& options = {});
-
-/// Counts antichains only (no per-pattern classification); cheaper when
-/// only Table-5-style counts are needed.
-std::vector<std::vector<std::uint64_t>> count_antichains_by_size_span(
-    const Dfg& dfg, const Levels& levels, const Reachability& reach,
-    std::size_t max_size, bool parallel = true);
 
 // ---------------------------------------------------------------------------
 // Sharded enumeration — the batch engine's unit of work (src/engine).
@@ -112,16 +94,29 @@ std::vector<std::vector<std::uint64_t>> count_antichains_by_size_span(
 // antichain's minimum node id ("root"). enumerate_antichain_roots() walks
 // only the subtrees of the given roots, sequentially, on the calling
 // thread; merging the partial analyses of any partition of [0, n) with
-// merge_antichain_analyses() reproduces enumerate_antichains() exactly.
+// merge_antichain_analyses() reproduces the whole enumeration exactly.
 // This lets a scheduler interleave shards of *different* graphs on one
-// thread pool instead of being stuck with the per-graph fan-out above.
+// thread pool (the engine's flat task list) instead of being stuck with
+// one graph's fan-out at a time.
 // ---------------------------------------------------------------------------
 
+/// Shards per worker (pool threads + caller): enough slack for a
+/// parallel_for to balance uneven roots without much merge work.
+inline constexpr std::size_t kShardsPerThread = 4;
+
+/// The one shard plan: min(node_count, workers × kShardsPerThread) shards
+/// (at least one, empty for an empty graph), cyclic — shard s takes roots
+/// s, s+S, s+2S, … so the expensive low-id roots (largest search subtrees)
+/// spread across shards.
+std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count, std::size_t workers);
+
 /// Enumerates the subtrees rooted at each id in `roots` (all < node_count,
-/// duplicates forbidden). Ignores `options.parallel`. The max_antichains
-/// safety valve counts through `shared_count` when given, so a scheduler
-/// running many shards of one analysis keeps the limit global instead of
-/// per-shard; with nullptr the limit applies to this call alone.
+/// duplicates forbidden), sequentially on the calling thread, on the
+/// arena walk (one preallocated mask stack, word-parallel candidate probe,
+/// chunk-batched accounting). The max_antichains safety valve counts
+/// through `shared_count` when given, so a scheduler running many shards
+/// of one analysis keeps the limit global instead of per-shard; with
+/// nullptr the limit applies to this call alone.
 AntichainAnalysis enumerate_antichain_roots(const Dfg& dfg, const Levels& levels,
                                             const Reachability& reach,
                                             const EnumerateOptions& options,
@@ -130,7 +125,7 @@ AntichainAnalysis enumerate_antichain_roots(const Dfg& dfg, const Levels& levels
 
 /// Merges root-disjoint partial analyses of the same graph + options.
 /// Associative and order-insensitive: any grouping of the same shard set
-/// yields a bit-identical result.
+/// yields a bit-identical result (a single part is returned as is).
 AntichainAnalysis merge_antichain_analyses(std::vector<AntichainAnalysis> parts,
                                            std::size_t node_count);
 

@@ -58,8 +58,6 @@ struct SelectOptions {
   std::optional<int> span_limit = 1;
   /// Candidate-pattern generation strategy.
   PatternGeneration generation = PatternGeneration::SpanLimitedEnumeration;
-  /// Run the enumerator on the shared thread pool.
-  bool parallel = true;
   /// Record per-iteration candidate priorities (Fig. 4 walkthrough /
   /// debugging; memory grows with candidate count × Pdef).
   bool record_details = false;
@@ -90,7 +88,18 @@ struct SelectionResult {
   std::string to_string(const Dfg& dfg) const;
 };
 
-/// Runs selection end-to-end (enumeration + greedy picks).
+/// The enumeration a selection asks for (§5.1): antichains of at most C
+/// members within the span limit, without member lists. The one mapping
+/// from SelectOptions to EnumerateOptions: the engine's shards and
+/// candidate_analysis() both enumerate with it.
+EnumerateOptions enumerate_options_for(const SelectOptions& options);
+
+/// Candidate-pattern statistics for `options.generation` on the whole
+/// graph: the closed-form level analysis for LevelAnalytic, otherwise
+/// enumerate_antichains() with enumerate_options_for(options).
+AntichainAnalysis candidate_analysis(const Dfg& dfg, const SelectOptions& options);
+
+/// Runs selection end-to-end (candidate_analysis() + greedy picks).
 SelectionResult select_patterns(const Dfg& dfg, const SelectOptions& options = {});
 
 /// Variant reusing a precomputed antichain analysis (the ablation benches

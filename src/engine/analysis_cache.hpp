@@ -88,7 +88,7 @@ class AnalysisCache {
   /// Content key of (graph, generation strategy, enumeration options).
   /// Only the options that influence the analysis participate:
   /// generation mode, capacity/max_size, span limit. collect_members is
-  /// forced off for cached analyses, and `parallel` is an execution detail.
+  /// always off for cached analyses (enumerate_options_for).
   /// `pipeline_tag` (engine::pipeline_cache_tag) separates differently
   /// configured pipelines over the same graph content; the empty tag feeds
   /// nothing, so default-pipeline keys are byte-identical to pre-pipeline

@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
 #include <tuple>
 #include <unordered_map>
 
@@ -36,28 +35,14 @@ struct AnalysisUnit {
   double total_ms = 0.0;
 };
 
-EnumerateOptions enumerate_options_for(const SelectOptions& select) {
-  EnumerateOptions eo;
-  eo.max_size = select.capacity;
-  eo.span_limit = select.span_limit;
-  eo.collect_members = false;  // cached analyses never carry member lists
-  eo.parallel = false;         // the engine shards; no nested fan-out
-  return eo;
-}
-
-/// Shards per worker (pool threads + caller): enough slack for the
-/// parallel_for to balance uneven roots without much merge work.
-constexpr std::size_t kShardsPerThread = 4;
-
-/// Cyclic root partition: shard s takes roots s, s+S, s+2S, … so the
-/// expensive low-id roots (largest search subtrees) spread across shards.
-std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count,
-                                                 std::size_t target_shards) {
-  const std::size_t shards = std::clamp<std::size_t>(target_shards, 1, std::max<std::size_t>(node_count, 1));
-  std::vector<std::vector<NodeId>> roots(shards);
-  for (std::size_t r = 0; r < node_count; ++r)
-    roots[r % shards].push_back(static_cast<NodeId>(r));
-  return roots;
+/// Tallies each job's AnalysisSource into analyses_computed /
+/// analyses_reused — the one count behind a dispatch's and a ticket
+/// set's numbers alike.
+void count_analysis_sources(BatchResult& batch) {
+  for (const JobResult& r : batch.jobs) {
+    if (r.analysis_source == AnalysisSource::Computed) ++batch.analyses_computed;
+    else if (r.analysis_source == AnalysisSource::Reused) ++batch.analyses_reused;
+  }
 }
 
 /// Rejects options that would never do what they ask for; runs before
@@ -81,10 +66,7 @@ BatchResult collect_tickets(const std::vector<Ticket>& tickets) {
   BatchResult batch;
   batch.jobs.reserve(tickets.size());
   for (const Ticket& ticket : tickets) batch.jobs.push_back(ticket.result());
-  for (const JobResult& r : batch.jobs) {
-    if (r.analysis_source == AnalysisSource::Computed) ++batch.analyses_computed;
-    else if (r.analysis_source == AnalysisSource::Reused) ++batch.analyses_reused;
-  }
+  count_analysis_sources(batch);
   return batch;
 }
 
@@ -306,7 +288,6 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
       analysis[i] = std::move(hit);
       batch.jobs[i].analysis_cache_hit = true;
       batch.jobs[i].analysis_source = AnalysisSource::Reused;
-      ++batch.analyses_reused;
       continue;
     }
     const auto [it, inserted] = unit_of.try_emplace(keys[i], units.size());
@@ -317,11 +298,9 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
       batch.jobs[i].analysis_source = AnalysisSource::Computed;
     } else {
       batch.jobs[i].analysis_source = AnalysisSource::Reused;
-      ++batch.analyses_reused;
     }
     units[it->second].consumers.push_back(i);
   }
-  batch.analyses_computed = units.size();
 
   // ---- Phase 1: sharded analysis over one flat task list ----------------
   struct Task {
@@ -334,8 +313,7 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     const Job& job = jobs[unit.exemplar_job];
     const Dfg& unit_dfg = *graphs[unit.exemplar_job];
     if (job.select.generation == PatternGeneration::SpanLimitedEnumeration) {
-      unit.shard_roots =
-          partition_roots(unit_dfg.node_count(), worker_count * kShardsPerThread);
+      unit.shard_roots = partition_roots(unit_dfg.node_count(), worker_count);
     } else {
       unit.shard_roots.resize(1);  // closed-form counting: one cheap task
     }
@@ -390,10 +368,7 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     if (!unit.error.empty()) return;
     const Dfg& unit_dfg = *graphs[unit.exemplar_job];
     unit.result = std::make_shared<AntichainAnalysis>(
-        unit.shard_results.size() == 1
-            ? std::move(unit.shard_results.front())
-            : merge_antichain_analyses(std::move(unit.shard_results),
-                                       unit_dfg.node_count()));
+        merge_antichain_analyses(std::move(unit.shard_results), unit_dfg.node_count()));
     cache_.store_analysis(unit.key, unit.result);
   });
 
@@ -453,6 +428,7 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
 
   batch.wall_ms = wall.millis();
   batch.cache_stats = cache_.stats();
+  count_analysis_sources(batch);
   {
     std::lock_guard lock(stats_mutex_);
     ++stats_.batches;

@@ -10,13 +10,13 @@
 //      warm cache skips the computation entirely. Every engine owns exactly
 //      one AnalysisCache, built in its constructor (with the cache_dir disk
 //      tier, if any), and keeps it for its lifetime.
-//   2. Shard. Each analysis to compute is split by enumeration root into
-//      4 × workers chunks with a cyclic partition (shard s takes roots s,
-//      s+S, s+2S, …, so the expensive low-id roots spread out), and ALL
-//      chunks of ALL jobs go into one dynamically-balanced parallel_for —
-//      work steals across jobs *and* within a job, so one huge DFG no
-//      longer serializes the tail of the batch the way per-graph fan-out
-//      does.
+//   2. Shard. Each analysis to compute is split by enumeration root with
+//      partition_roots() (antichain/enumerate.hpp) — the same cyclic plan
+//      of 4 × workers shards enumerate_antichains() runs — but ALL shards
+//      of ALL jobs go into one dynamically-balanced parallel_for, so work
+//      steals across jobs *and* within a job, and one huge DFG does not
+//      serialize the tail of the batch. Each unit's shards are merged with
+//      merge_antichain_analyses().
 //   3. Solve. Selection, scheduling and optional refinement run per job in
 //      a second parallel_for (they are orders of magnitude cheaper than
 //      enumeration and strictly sequential per job).

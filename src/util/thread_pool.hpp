@@ -1,10 +1,13 @@
 // A minimal fixed-size thread pool plus a deterministic parallel-for.
 //
-// The antichain enumerator and the benchmark sweeps parallelize over an
-// index space with parallel_for(). Work is distributed by an atomic
-// cursor (dynamic load balancing), but each index always computes the same
-// value into its own slot, so results are independent of thread count and
-// scheduling order — the determinism requirement of DESIGN.md §6.
+// The batch engine's dispatch phases and enumerate_antichains() (on the
+// shared pool) parallelize over an index space with parallel_for(); both
+// enumerate over the one partition_roots() shard plan. Work is distributed
+// by an atomic cursor (dynamic load balancing), but each index always
+// computes the same value into its own slot, so results are independent of
+// thread count and scheduling order. parallel_for() must not be called
+// from inside a task of the same pool: its wait_idle() would wait on the
+// calling task itself.
 #pragma once
 
 #include <atomic>

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "antichain/enumerate.hpp"
 #include "graph/closure.hpp"
 #include "graph/levels.hpp"
+#include "reference_enumerate.hpp"
 #include "test_util.hpp"
 #include "workloads/paper_graphs.hpp"
 #include "workloads/random_dag.hpp"
@@ -15,13 +17,25 @@ namespace mpsched {
 namespace {
 
 EnumerateOptions opts(std::size_t max_size, std::optional<int> span = std::nullopt,
-                      bool collect = false, bool parallel = true) {
+                      bool collect = false) {
   EnumerateOptions o;
   o.max_size = max_size;
   o.span_limit = span;
   o.collect_members = collect;
-  o.parallel = parallel;
   return o;
+}
+
+/// The two whole-graph entry points: enumerate_antichains() (sharded on
+/// the shared pool) and one sequential enumerate_antichain_roots() walk
+/// over every root.
+enum class Entry { Sharded, AllRoots };
+
+AntichainAnalysis enumerate_whole(Entry entry, const Dfg& g, const Levels& lv,
+                                  const Reachability& reach, const EnumerateOptions& o) {
+  if (entry == Entry::Sharded) return enumerate_antichains(g, lv, reach, o);
+  std::vector<NodeId> roots(g.node_count());
+  std::iota(roots.begin(), roots.end(), NodeId{0});
+  return enumerate_antichain_roots(g, lv, reach, o, roots);
 }
 
 // Paper Table 4: the small example has exactly four patterns with the
@@ -146,15 +160,11 @@ INSTANTIATE_TEST_SUITE_P(RandomDags, AntichainOracleTest,
 
 TEST(AntichainTest, ParallelMatchesSequential) {
   const Dfg g = workloads::paper_3dft();
-  const AntichainAnalysis seq = enumerate_antichains(g, opts(5, std::nullopt, false, false));
-  const AntichainAnalysis par = enumerate_antichains(g, opts(5, std::nullopt, false, true));
-  EXPECT_EQ(seq.total, par.total);
-  ASSERT_EQ(seq.per_pattern.size(), par.per_pattern.size());
-  for (std::size_t i = 0; i < seq.per_pattern.size(); ++i) {
-    EXPECT_EQ(seq.per_pattern[i].pattern, par.per_pattern[i].pattern);
-    EXPECT_EQ(seq.per_pattern[i].antichain_count, par.per_pattern[i].antichain_count);
-    EXPECT_EQ(seq.per_pattern[i].node_frequency, par.per_pattern[i].node_frequency);
-  }
+  const Levels lv = compute_levels(g);
+  const Reachability reach(g);
+  const AntichainAnalysis seq = enumerate_whole(Entry::AllRoots, g, lv, reach, opts(5));
+  const AntichainAnalysis par = enumerate_whole(Entry::Sharded, g, lv, reach, opts(5));
+  test::expect_analysis_identical(seq, par);
 }
 
 TEST(AntichainTest, NodeFrequencySumsToSizeWeightedCount) {
@@ -197,8 +207,8 @@ TEST(AntichainTest, MembersAreSortedAndValid) {
 
 // The scratch-arena enumerator must be byte-identical to the reference
 // (copy-a-bitset-per-node) implementation across a seeded corpus: the
-// paper graph plus random DAGs, with and without members, serial and
-// parallel, default and tight span limits.
+// paper graph plus random DAGs, with and without members, sharded and
+// all-roots sequential, default and tight span limits.
 TEST(AntichainTest, ArenaMatchesReferenceOnSeededCorpus) {
   std::vector<Dfg> corpus;
   corpus.push_back(workloads::paper_3dft());
@@ -215,12 +225,12 @@ TEST(AntichainTest, ArenaMatchesReferenceOnSeededCorpus) {
     const Levels lv = compute_levels(g);
     const Reachability reach(g);
     for (const bool collect : {false, true})
-      for (const bool parallel : {false, true})
+      for (const Entry entry : {Entry::AllRoots, Entry::Sharded})
         for (const std::optional<int> span :
              {std::optional<int>{}, std::optional<int>{1}}) {
-          const EnumerateOptions o = opts(4, span, collect, parallel);
-          const AntichainAnalysis ref = enumerate_antichains_reference(g, lv, reach, o);
-          const AntichainAnalysis arena = enumerate_antichains(g, lv, reach, o);
+          const EnumerateOptions o = opts(4, span, collect);
+          const AntichainAnalysis ref = test::enumerate_antichains_reference(g, lv, reach, o);
+          const AntichainAnalysis arena = enumerate_whole(entry, g, lv, reach, o);
           test::expect_analysis_identical(ref, arena);
         }
   }
@@ -253,9 +263,9 @@ TEST(AntichainTest, FindAgreesWithLinearScan) {
 }
 
 // The max_antichains limit must trip at the exact threshold, with the
-// chunked per-worker count batching: limit == total passes, limit ==
-// total - 1 throws — serial, parallel, and through the sharded
-// entry point with a shared counter.
+// chunked per-walk count batching: limit == total passes, limit ==
+// total - 1 throws — sharded, all-roots sequential, and through the
+// sharded entry point with an explicit shared counter.
 TEST(AntichainTest, MaxAntichainsLimitIsThresholdExact) {
   const Dfg g = workloads::paper_3dft();
   const Levels lv = compute_levels(g);
@@ -264,14 +274,14 @@ TEST(AntichainTest, MaxAntichainsLimitIsThresholdExact) {
   const std::uint64_t total = enumerate_antichains(g, lv, reach, opts(4)).total;
   ASSERT_GT(total, 1u);
 
-  for (const bool parallel : {false, true}) {
-    EnumerateOptions at = opts(4, std::nullopt, false, parallel);
+  for (const Entry entry : {Entry::AllRoots, Entry::Sharded}) {
+    EnumerateOptions at = opts(4);
     at.max_antichains = total;
-    EXPECT_EQ(enumerate_antichains(g, lv, reach, at).total, total);
+    EXPECT_EQ(enumerate_whole(entry, g, lv, reach, at).total, total);
 
     EnumerateOptions below = at;
     below.max_antichains = total - 1;
-    EXPECT_THROW(enumerate_antichains(g, lv, reach, below), std::runtime_error);
+    EXPECT_THROW(enumerate_whole(entry, g, lv, reach, below), std::runtime_error);
   }
 
   // Sharded path: two root partitions sharing one global counter.

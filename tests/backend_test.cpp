@@ -55,11 +55,7 @@ void check_section4_invariants(const Dfg& g, const Schedule& s,
 /// The analysis the engine would hand a needs_analysis() backend for this
 /// request (enumeration under the request's own generation options).
 AntichainAnalysis analysis_for(const Dfg& dfg, const SelectOptions& select) {
-  EnumerateOptions eo;
-  eo.max_size = select.capacity;
-  eo.span_limit = select.span_limit;
-  eo.parallel = false;
-  return enumerate_antichains(dfg, eo);
+  return enumerate_antichains(dfg, enumerate_options_for(select));
 }
 
 BackendResult solve(const std::string& backend_name, const Dfg& dfg,

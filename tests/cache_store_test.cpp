@@ -58,7 +58,6 @@ AntichainAnalysis analysis_of(const Dfg& dfg, bool collect_members = false) {
   options.max_size = 5;
   options.span_limit = 1;
   options.collect_members = collect_members;
-  options.parallel = false;
   return enumerate_antichains(dfg, options);
 }
 

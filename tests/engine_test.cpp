@@ -13,6 +13,7 @@
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
 #include "io/result_io.hpp"
+#include "reference_enumerate.hpp"
 #include "test_util.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -53,11 +54,14 @@ TEST(EnumerateShards, PartitionMergeMatchesMonolithic) {
   options.max_size = 5;
   options.span_limit = 2;
 
-  const AntichainAnalysis whole = enumerate_antichains(dfg, levels, reach, options);
+  // enumerate_antichains() is itself this merge, so the oracle is the
+  // independent reference walk.
+  const AntichainAnalysis whole =
+      test::enumerate_antichains_reference(dfg, levels, reach, options);
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{24}}) {
-    std::vector<std::vector<NodeId>> roots(shards);
-    for (NodeId r = 0; r < dfg.node_count(); ++r) roots[r % shards].push_back(r);
+  for (const std::size_t workers : {1, 2, 3, 8}) {
+    const std::vector<std::vector<NodeId>> roots = partition_roots(dfg.node_count(), workers);
+    EXPECT_EQ(roots.size(), std::min(dfg.node_count(), workers * kShardsPerThread));
     std::vector<AntichainAnalysis> parts;
     for (const auto& shard : roots)
       parts.push_back(enumerate_antichain_roots(dfg, levels, reach, options, shard));
@@ -75,7 +79,8 @@ TEST(EnumerateShards, MemberCollectionSurvivesMerging) {
   options.max_size = 2;
   options.collect_members = true;
 
-  const AntichainAnalysis whole = enumerate_antichains(dfg, levels, reach, options);
+  const AntichainAnalysis whole =
+      test::enumerate_antichains_reference(dfg, levels, reach, options);
   std::vector<AntichainAnalysis> parts;
   for (NodeId r = 0; r < dfg.node_count(); ++r)
     parts.push_back(enumerate_antichain_roots(dfg, levels, reach, options, {r}));

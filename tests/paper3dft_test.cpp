@@ -151,7 +151,7 @@ TEST_F(Paper3DftTest, Cycle2IsAnF1TieBrokenByF2) {
 // Table 5, size-1 and size-2 columns for every span limit row.
 TEST_F(Paper3DftTest, Table5AntichainCountsSizes1And2) {
   const AntichainAnalysis analysis = enumerate_antichains(dfg, EnumerateOptions{.max_size = 5, .span_limit = std::nullopt,
-                                           .collect_members = false, .parallel = true,
+                                           .collect_members = false,
                                            .max_antichains = 1'000'000});
   // Cumulative counts, rows = span limit 4..0 as printed in the paper.
   const std::uint64_t kSize1[] = {24, 24, 24, 24, 24};
@@ -175,7 +175,7 @@ TEST_F(Paper3DftTest, ComparablePairSpanHistogram) {
 // larger sizes).
 TEST_F(Paper3DftTest, Table5CountsMonotoneInSpanLimit) {
   const AntichainAnalysis analysis = enumerate_antichains(dfg, EnumerateOptions{.max_size = 5, .span_limit = std::nullopt,
-                                           .collect_members = false, .parallel = true,
+                                           .collect_members = false,
                                            .max_antichains = 1'000'000});
   for (std::size_t size = 1; size <= 5; ++size) {
     for (int limit = 1; limit <= 4; ++limit) {

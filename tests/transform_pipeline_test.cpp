@@ -97,9 +97,7 @@ TEST_P(StripCorpusTest, PreservesReachabilityAndLeavesNoRedundantEdge) {
 
   // Identical closure => identical antichain universe (what selection and
   // scheduling actually consume).
-  EnumerateOptions eo;
-  eo.parallel = false;
-  EXPECT_EQ(enumerate_antichains(g, eo).total, enumerate_antichains(reduced, eo).total);
+  EXPECT_EQ(enumerate_antichains(g).total, enumerate_antichains(reduced).total);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, StripCorpusTest,
