@@ -11,6 +11,10 @@
 // byte-identical analysis output. The ratio is the median over paired,
 // interleaved (reference, arena) repetitions, and its spread is reported
 // beside it in the BENCH_perf_scaling.json trajectory.
+//
+// It also records report-only trajectory cells for the §5.1 hot path: the
+// serial enumerate time of two heavy kernels, fir(32) and bitonic(16), at
+// C = 5 and span limit 1, where most antichains are size-C leaves.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,6 +29,7 @@
 #include "pattern/random.hpp"
 #include "reference_enumerate.hpp"
 #include "util/timer.hpp"
+#include "workloads/corpus.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/paper_graphs.hpp"
 #include "workloads/random_dag.hpp"
@@ -177,6 +182,59 @@ double quantile(std::vector<double> values, double q) {
   return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
+/// Report-only cells: one sequential enumerate_antichain_roots() walk over
+/// all roots of fir(32) and of bitonic(16), at C = 5 and span limit 1 (the
+/// SelectOptions defaults). Each repetition times both graphs back to
+/// back, alternating which runs first, so drift hits both alike; each
+/// graph's cell is the median over repetitions, with its IQR / median.
+void record_heavy_enumeration_cells(bench::Gate& gate) {
+  struct Kernel {
+    std::string spec;
+    Dfg dfg;
+    Levels levels;
+    Reachability reach;
+    std::vector<NodeId> roots;
+    std::vector<double> ms;
+  };
+  std::vector<Kernel> kernels;
+  for (const std::string spec : {"fir(32)", "bitonic(16)"}) {
+    Dfg g = workloads::make_workload(spec);
+    Levels lv = compute_levels(g);
+    Reachability reach(g);
+    std::vector<NodeId> roots = all_roots(g);
+    kernels.push_back({spec, std::move(g), std::move(lv), std::move(reach), std::move(roots), {}});
+  }
+  EnumerateOptions options;
+  options.max_size = 5;
+  options.span_limit = 1;
+  const auto walk_ms = [&options](const Kernel& k) {
+    mpsched::Timer timer;
+    benchmark::DoNotOptimize(
+        enumerate_antichain_roots(k.dfg, k.levels, k.reach, options, k.roots));
+    return timer.seconds() * 1e3;
+  };
+
+  // One warm-up pair sizes the run: up to 11 repetitions within ~1 s, at
+  // least 3 (sanitizer builds are an order of magnitude slower).
+  const double pair_ms = walk_ms(kernels[0]) + walk_ms(kernels[1]);
+  const int reps = std::clamp(static_cast<int>(1000.0 / std::max(pair_ms, 1e-3)), 3, 11);
+  for (int rep = 0; rep < reps; ++rep)
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+      Kernel& k = kernels[rep % 2 == 0 ? i : kernels.size() - 1 - i];
+      k.ms.push_back(walk_ms(k));
+    }
+
+  for (const Kernel& k : kernels) {
+    const double median = quantile(k.ms, 0.5);
+    const double spread = (quantile(k.ms, 0.75) - quantile(k.ms, 0.25)) / median;
+    std::printf("%s, C = 5, span 1, serial enumerate: %.3f ms (median of %d; IQR/median %.3f)\n",
+                k.spec.c_str(), median, reps, spread);
+    gate.workload(k.spec + " C5 span1");
+    gate.info("serial enumerate ms", median);
+    gate.info("serial enumerate ms spread (IQR / median)", spread);
+  }
+}
+
 /// The pinned arena-vs-reference enumeration gate on the Fig. 5 span
 /// workload (3DFT, max_size 4 — the population Theorem 1 is checked over):
 /// the arena walk is one enumerate_antichain_roots() shard over all roots.
@@ -245,6 +303,7 @@ int run_enumeration_speedup_gate() {
   gate.check_min(2.0, speedup, "single-shard enumeration speedup (arena vs reference)");
   gate.info("single-shard enumeration speedup spread (IQR / median)", spread);
 
+  record_heavy_enumeration_cells(gate);
   return gate.finish("perf scaling (arena enumerator identity + pinned >=2x speedup)");
 }
 

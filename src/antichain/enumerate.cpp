@@ -16,7 +16,7 @@ namespace {
 using Word = DynamicBitset::Word;
 constexpr std::size_t kWordBits = DynamicBitset::kWordBits;
 
-/// Transparent hash/equality so record() can probe the per-pattern map
+/// Transparent hash/equality so the walk can probe the per-pattern map
 /// with a sorted scratch color span — no Pattern (and no heap allocation)
 /// is constructed unless a pattern occurs for the first time. The span
 /// hash MUST mirror Pattern::hash() (FNV-1a over the canonical colors).
@@ -70,14 +70,15 @@ struct SearchContext {
 };
 
 /// Chunked accounting against the shared max_antichains counter: each
-/// walk batches kChunk recorded antichains locally and publishes them
-/// with one fetch_add, so the hot path touches the shared cache line once
-/// per chunk instead of once per antichain. The limit stays exact in the
-/// threshold sense: partial sums only ever reach the true total, so a
-/// flush observes a count above the limit iff the enumeration really
-/// produced more than max_antichains — the same workloads trip it, the
-/// same workloads pass (Walker::finish() guarantees the last pending batch
-/// is always published).
+/// walk batches at least kChunk recorded antichains locally and publishes
+/// them with one fetch_add, so the hot path touches the shared cache line
+/// once per chunk instead of once per antichain. note(n) charges n at once
+/// (every antichain one Walker::extend() pass recorded). The limit stays
+/// exact in the threshold sense: partial sums only ever reach the true
+/// total, so a flush observes a count above the limit iff the enumeration
+/// really produced more than max_antichains — the same workloads trip it,
+/// the same workloads pass (Walker::finish() guarantees the last pending
+/// batch is always published).
 class CountBudget {
  public:
   static constexpr std::uint64_t kChunk = 1024;
@@ -85,8 +86,9 @@ class CountBudget {
   CountBudget(std::atomic<std::uint64_t>* global, std::uint64_t limit)
       : global_(global), limit_(limit) {}
 
-  void note() {
-    if (++pending_ >= kChunk) flush();
+  void note(std::uint64_t n = 1) {
+    pending_ += n;
+    if (pending_ >= kChunk) flush();
   }
 
   void flush() {
@@ -105,14 +107,23 @@ class CountBudget {
   std::uint64_t pending_ = 0;
 };
 
-/// One shard's depth-first walk over the subtrees of its roots,
-/// on arena-style scratch: a preallocated max_depth × word_count mask
-/// stack replaces the per-node `DynamicBitset next_compat = compat` heap
-/// copy, the candidate probe is a fused word-parallel AND+countr_zero
-/// loop over raw words, and the shared safety counter is batched through
-/// CountBudget. The walk itself allocates nothing (pattern classification
-/// allocates only the first time a pattern is seen, plus the explicit
-/// member lists when collect_members is on).
+/// One shard's depth-first walk over the subtrees of its roots, on
+/// arena-style scratch: a preallocated max_depth × word_count mask stack
+/// replaces the per-node `DynamicBitset next_compat = compat` heap copy,
+/// the candidate probe is a fused word-parallel AND+countr_zero loop over
+/// raw words, and the shared safety counter is batched through
+/// CountBudget.
+///
+/// Accounting is grouped per prefix: extend() visits all one-node
+/// extensions of the current antichain in one pass and charges each of
+/// them only what depends on the new node (its h entry, its span bucket).
+/// Everything that depends on the new node's color alone (the pattern
+/// lookup, the pattern count, the prefix members' h) is added once per
+/// color present. At the deepest level (size max_size, where most
+/// antichains live) that makes each antichain a handful of increments.
+/// The walk itself allocates nothing (pattern classification allocates
+/// only the first time a pattern is seen, plus the explicit member lists
+/// when collect_members is on).
 class Walker {
  public:
   Walker(const SearchContext& ctx, Accumulator& acc)
@@ -121,19 +132,21 @@ class Walker {
         budget_(ctx.global_count, ctx.options.max_antichains),
         word_count_(ctx.dfg.node_count() == 0
                         ? 0
-                        : (ctx.dfg.node_count() + kWordBits - 1) / kWordBits) {
-    // An antichain can never exceed node_count members, so the mask stack
-    // depth is bounded by min(max_size, n) no matter how large the
-    // configured max_size is.
-    const std::size_t depth =
-        std::min<std::size_t>(ctx.options.max_size, ctx.dfg.node_count());
-    masks_.assign(depth * word_count_, 0);
-    stack_.reserve(depth);
-    colors_.resize(depth);
-    last_colors_.resize(depth);
+                        : (ctx.dfg.node_count() + kWordBits - 1) / kWordBits),
+        // An antichain can never exceed node_count members, so the scratch
+        // depth is bounded by min(max_size, n) no matter how large the
+        // configured max_size is.
+        max_depth_(std::min<std::size_t>(ctx.options.max_size, ctx.dfg.node_count())),
+        color_count_(ctx.dfg.color_count()) {
+    masks_.assign(max_depth_ * word_count_, 0);
+    stack_.reserve(max_depth_);
+    colors_.resize(max_depth_);
+    sorted_prefix_.resize(max_depth_ * max_depth_);
+    groups_.resize(max_depth_ * color_count_);
+    opened_.resize(max_depth_ * color_count_);
     // Hot-path caches: the color table snapshot skips dfg.color()'s
     // always-on bounds assert per member per antichain, and the span-row
-    // pointers skip two vector indexings per record (the Accumulator
+    // pointers skip two vector indexings per antichain (the Accumulator
     // preallocates by_size_span once; rows never move).
     color_of_.resize(ctx.dfg.node_count());
     pm_of_.resize(ctx.dfg.node_count());
@@ -151,7 +164,14 @@ class Walker {
     stack_.clear();
     stack_.push_back(root);
     // Size-1 antichains always have span U(asap - alap) = 0 (asap ≤ alap).
-    record(0);
+    const ColorId color = color_of_[root];
+    Accumulator::Entry& entry = entry_for(std::span<const ColorId>(&color, 1));
+    entry.count += 1;
+    entry.node_frequency[root] += 1;
+    if (ctx_.options.collect_members) entry.members.push_back(stack_);
+    span_rows_[1][0] += 1;
+    acc_.total += 1;
+    budget_.note();
     extend(pm_of_[root], ctx_.levels.asap[root], ctx_.levels.alap[root]);
   }
 
@@ -160,21 +180,45 @@ class Walker {
   void finish() { budget_.flush(); }
 
  private:
-  /// Depth-first extension. `compat` is the AND of parallel masks of all
-  /// members (word_count_ words, tail bits zero); only ids greater than
-  /// the last member are probed, so each antichain is produced exactly
-  /// once (as its sorted id sequence). `max_asap`/`min_alap` carry the
-  /// members' span state (SpanTracker's fields, inlined: the span of the
-  /// set plus candidate `j` is max(max_asap, asap[j]) - min(min_alap,
-  /// alap[j]) clamped at 0, monotone in membership — so a span overrun
-  /// prunes the whole subtree).
+  /// Per (depth, color) state of one extend() pass: how many extensions
+  /// of that color it kept, and the entry of pattern prefix ∪ {color}
+  /// with its h row (null until the pass meets the color).
+  struct ColorGroup {
+    std::uint64_t count = 0;
+    Accumulator::Entry* entry = nullptr;
+    std::uint64_t* freq = nullptr;
+  };
+
+  /// Depth-first extension of the antichain `stack_`. `compat` is the AND
+  /// of parallel masks of all members (word_count_ words, tail bits zero);
+  /// only ids greater than the last member are probed, so each antichain
+  /// is produced exactly once (as its sorted id sequence). `max_asap`/
+  /// `min_alap` carry the members' span state (SpanTracker's fields,
+  /// inlined: the span of the set plus candidate `j` is max(max_asap,
+  /// asap[j]) - min(min_alap, alap[j]) clamped at 0, monotone in
+  /// membership — so a span overrun prunes the whole subtree). Each kept
+  /// extension is recorded here, grouped by color, and recursed into
+  /// unless it already has max_size members.
   void extend(const Word* compat, int max_asap, int min_alap) {
-    if (stack_.size() >= ctx_.options.max_size) return;
-    const int* asap = ctx_.levels.asap.data();
-    const int* alap = ctx_.levels.alap.data();
+    const std::size_t depth = stack_.size();
+    if (depth >= ctx_.options.max_size) return;
     const std::size_t from = stack_.back() + 1;
     std::size_t wi = from / kWordBits;
     if (wi >= word_count_) return;
+    const int* asap = ctx_.levels.asap.data();
+    const int* alap = ctx_.levels.alap.data();
+    const int limit = ctx_.effective_span_limit;
+    const bool collect = ctx_.options.collect_members;
+    const bool deepest = depth + 1 == ctx_.options.max_size;
+    std::uint64_t* span_row = span_rows_[depth + 1];
+    ColorGroup* groups = groups_.data() + (depth - 1) * color_count_;
+    ColorId* opened = opened_.data() + (depth - 1) * color_count_;
+    std::size_t opened_count = 0;
+    ColorId* prefix = sorted_prefix_.data() + (depth - 1) * max_depth_;
+    for (std::size_t i = 0; i < depth; ++i) prefix[i] = color_of_[stack_[i]];
+    std::sort(prefix, prefix + depth);
+
+    std::uint64_t kept = 0;
     Word w = compat[wi] & (~Word{0} << (from % kWordBits));
     while (true) {
       while (w != 0) {
@@ -184,82 +228,89 @@ class Walker {
         w &= w - 1;
         const int ma = max_asap > asap[node] ? max_asap : asap[node];
         const int mi = min_alap < alap[node] ? min_alap : alap[node];
-        const int new_span = ma - mi > 0 ? ma - mi : 0;
-        if (new_span > ctx_.effective_span_limit) continue;  // span is monotone: subtree pruned
+        const int span = ma - mi > 0 ? ma - mi : 0;
+        if (span > limit) continue;  // span is monotone: subtree pruned
+        const ColorId c = color_of_[node];
+        ColorGroup& group = groups[c];
+        if (group.freq == nullptr) {
+          open_group(group, prefix, depth, c);
+          opened[opened_count++] = c;
+        }
+        group.count += 1;
+        group.freq[node] += 1;
+        span_row[span] += 1;
+        ++kept;
+        if (!collect && deepest) continue;
         stack_.push_back(node);
-        record(new_span);
-        if (stack_.size() < ctx_.options.max_size) {
+        if (collect) group.entry->members.push_back(stack_);
+        if (!deepest) {
           // Word-wise AND into the next depth's arena slot. Words below wi
           // are never read deeper in this subtree (every candidate there
           // has id > node ≥ wi·64), so the suffix suffices.
-          Word* next = masks_.data() + (stack_.size() - 1) * word_count_;
+          Word* next = masks_.data() + depth * word_count_;
           const Word* pm = pm_of_[node];
           for (std::size_t k = wi; k < word_count_; ++k) next[k] = compat[k] & pm[k];
           extend(next, ma, mi);
         }
         stack_.pop_back();
       }
-      if (++wi >= word_count_) return;
+      if (++wi >= word_count_) break;
       w = compat[wi];
     }
+
+    for (std::size_t i = 0; i < opened_count; ++i) {
+      ColorGroup& group = groups[opened[i]];
+      group.entry->count += group.count;
+      for (std::size_t m = 0; m < depth; ++m) group.freq[stack_[m]] += group.count;
+      group = ColorGroup{};
+    }
+    acc_.total += kept;
+    budget_.note(kept);
   }
 
-  /// Records the current antichain `stack_` into the accumulator.
-  /// Raw-pointer writes throughout: this runs once per antichain and is
-  /// the other half (with extend()) of the enumeration hot path.
-  void record(int span) {
-    acc_.total += 1;
-    const std::size_t size = stack_.size();
-    span_rows_[size][static_cast<std::size_t>(span)] += 1;
-
-    const NodeId* members = stack_.data();
+  /// First kept extension of color `c` in a pass: looks up the pattern
+  /// `prefix` (sorted, `size` colors) ∪ {c} once for the whole pass.
+  void open_group(ColorGroup& group, const ColorId* prefix, std::size_t size, ColorId c) {
     ColorId* colors = colors_.data();
-    for (std::size_t i = 0; i < size; ++i) colors[i] = color_of_[members[i]];
-    // Canonical (sorted) form; insertion sort — the array is at most
-    // max_size (5 for the Montium) elements, below std::sort's overhead.
-    for (std::size_t i = 1; i < size; ++i) {
-      const ColorId c = colors[i];
-      std::size_t k = i;
-      for (; k > 0 && colors[k - 1] > c; --k) colors[k] = colors[k - 1];
-      colors[k] = c;
-    }
+    const std::size_t at =
+        static_cast<std::size_t>(std::upper_bound(prefix, prefix + size, c) - prefix);
+    std::copy(prefix, prefix + at, colors);
+    colors[at] = c;
+    std::copy(prefix + at, prefix + size, colors + at + 1);
+    group.entry = &entry_for(std::span<const ColorId>(colors, size + 1));
+    group.freq = group.entry->node_frequency.data();
+  }
 
-    // DFS sibling antichains repeat patterns constantly; one cached entry
-    // skips the hash probe for those runs. The cache never dangles:
-    // unordered_map references survive rehash, and nothing erases.
-    Accumulator::Entry* entry = last_entry_;
-    if (entry == nullptr || last_size_ != size ||
-        !std::equal(colors, colors + size, last_colors_.data())) {
-      auto it = acc_.per_pattern.find(std::span<const ColorId>(colors, size));
-      if (it == acc_.per_pattern.end())
-        it = acc_.per_pattern
-                 .emplace(Pattern(std::vector<ColorId>(colors, colors + size)),
-                          Accumulator::Entry{})
-                 .first;
-      entry = &it->second;
-      last_entry_ = entry;
-      last_size_ = size;
-      std::copy(colors, colors + size, last_colors_.data());
+  /// The accumulator entry for sorted `colors`, created (with its
+  /// node_frequency row) the first time the pattern occurs. Entries never
+  /// move: unordered_map references survive rehash, and nothing erases.
+  Accumulator::Entry& entry_for(std::span<const ColorId> colors) {
+    auto it = acc_.per_pattern.find(colors);
+    if (it == acc_.per_pattern.end()) {
+      it = acc_.per_pattern
+               .emplace(Pattern(std::vector<ColorId>(colors.begin(), colors.end())),
+                        Accumulator::Entry{})
+               .first;
+      it->second.node_frequency.assign(ctx_.dfg.node_count(), 0);
     }
-    if (entry->node_frequency.empty()) entry->node_frequency.assign(ctx_.dfg.node_count(), 0);
-    entry->count += 1;
-    std::uint64_t* freq = entry->node_frequency.data();
-    for (std::size_t i = 0; i < size; ++i) freq[members[i]] += 1;
-    if (ctx_.options.collect_members) entry->members.push_back(stack_);
-
-    budget_.note();
+    return it->second;
   }
 
   const SearchContext& ctx_;
   Accumulator& acc_;
   CountBudget budget_;
   std::size_t word_count_;
+  std::size_t max_depth_;
+  std::size_t color_count_;
   std::vector<Word> masks_;  // depth-major arena: one compat mask per depth
   std::vector<NodeId> stack_;
-  std::vector<ColorId> colors_;  // record() scratch (sorted per antichain)
-  Accumulator::Entry* last_entry_ = nullptr;  // single-entry pattern cache
-  std::size_t last_size_ = 0;
-  std::vector<ColorId> last_colors_;
+  std::vector<ColorId> colors_;  // open_group() scratch pattern
+  // Depth-major extend() scratch, one slot per prefix size: the prefix's
+  // sorted colors, a ColorGroup per color (sized by the graph's color
+  // count), and the colors the pass has opened.
+  std::vector<ColorId> sorted_prefix_;
+  std::vector<ColorGroup> groups_;
+  std::vector<ColorId> opened_;
   std::vector<ColorId> color_of_;            // dfg color table snapshot
   std::vector<const Word*> pm_of_;           // parallel-mask word pointers
   std::vector<std::uint64_t*> span_rows_;    // by_size_span row pointers

@@ -11,7 +11,12 @@
 // parallel mask), so testing whether node j can extend the antichain is a
 // single bit probe, and candidate iteration enumerates set bits > max id.
 // Span is monotone non-decreasing as a set grows, so the span limit prunes
-// the subtree, not just the leaf.
+// the subtree, not just the leaf. Accounting is grouped per prefix: one
+// pass over the prefix's candidates charges each extension A ∪ {j} only
+// what depends on j (h(p̄, j) and its span bucket), and adds what depends
+// on j's color alone — the pattern lookup, the pattern's count and the
+// prefix members' h — once per color present. Antichains of the full size
+// C (most of them on real kernels) are thus counted, not visited.
 //
 // Parallelism: the search forest is partitioned by the antichain's minimum
 // node id with partition_roots() — the one shard plan, shared with the
@@ -113,7 +118,7 @@ std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count, std::si
 /// Enumerates the subtrees rooted at each id in `roots` (all < node_count,
 /// duplicates forbidden), sequentially on the calling thread, on the
 /// arena walk (one preallocated mask stack, word-parallel candidate probe,
-/// chunk-batched accounting). The max_antichains safety valve counts
+/// per-prefix grouped accounting, chunk-batched limit checks). The max_antichains safety valve counts
 /// through `shared_count` when given, so a scheduler running many shards
 /// of one analysis keeps the limit global instead of per-shard; with
 /// nullptr the limit applies to this call alone.

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <exception>
+#include <memory>
 
 #include "util/require.hpp"
 
@@ -34,14 +35,8 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -55,45 +50,67 @@ void ThreadPool::worker_loop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
+
+namespace {
+
+/// One parallel_for call's shared state. Helper tasks may outlive the call
+/// (a helper still queued when the caller returns), so it is shared-owned;
+/// `closed` tells such a late helper that `fn` is gone.
+struct Loop {
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::mutex mutex;  // guards error, helpers, closed
+  std::condition_variable helpers_done;
+  std::exception_ptr error;
+  std::size_t helpers = 0;  // helpers currently draining this loop
+  bool closed = false;      // the caller has drained; no helper may join
+
+  void drain(std::size_t n, const std::function<void(std::size_t)>& fn) {
+    while (true) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n || failed.load(std::memory_order_relaxed)) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lock(mutex);
+        if (!failed.exchange(true)) error = std::current_exception();
+        return;
+      }
+    }
+  }
+};
+
+}  // namespace
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   MPSCHED_REQUIRE(fn != nullptr, "fn must be callable");
 
-  auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  auto first_error = std::make_shared<std::atomic<bool>>(false);
-  auto error = std::make_shared<std::exception_ptr>();
-  auto error_mutex = std::make_shared<std::mutex>();
-
-  auto drain = [cursor, first_error, error, error_mutex, &fn, n] {
-    while (true) {
-      const std::size_t i = cursor->fetch_add(1, std::memory_order_relaxed);
-      if (i >= n || first_error->load(std::memory_order_relaxed)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard lock(*error_mutex);
-        if (!first_error->exchange(true)) *error = std::current_exception();
-        return;
+  auto loop = std::make_shared<Loop>();
+  // One helper per worker; the calling thread drains too, so a pool of
+  // size 1 still gives 2-way parallelism and a busy pool (or a nested
+  // call) degrades to the caller doing the work alone.
+  for (std::size_t t = 0; t < workers_.size(); ++t) {
+    submit([loop, &fn, n] {
+      {
+        std::lock_guard lock(loop->mutex);
+        if (loop->closed) return;  // the call has returned; fn may be gone
+        ++loop->helpers;
       }
-    }
-  };
-
-  // One drain task per worker; the calling thread drains too, so a pool of
-  // size 1 still gives 2-way parallelism and a busy pool degrades gracefully.
-  const std::size_t helpers = workers_.size();
-  for (std::size_t t = 0; t < helpers; ++t) submit(drain);
-  drain();
-  wait_idle();
-
-  if (first_error->load() && *error) std::rethrow_exception(*error);
+      loop->drain(n, fn);
+      std::lock_guard lock(loop->mutex);
+      if (--loop->helpers == 0) loop->helpers_done.notify_all();
+    });
+  }
+  loop->drain(n, fn);
+  {
+    std::unique_lock lock(loop->mutex);
+    loop->closed = true;
+    loop->helpers_done.wait(lock, [&loop] { return loop->helpers == 0; });
+  }
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 ThreadPool& ThreadPool::shared() {

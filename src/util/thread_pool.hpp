@@ -5,9 +5,11 @@
 // enumerate over the one partition_roots() shard plan. Work is distributed
 // by an atomic cursor (dynamic load balancing), but each index always
 // computes the same value into its own slot, so results are independent of
-// thread count and scheduling order. parallel_for() must not be called
-// from inside a task of the same pool: its wait_idle() would wait on the
-// calling task itself.
+// thread count and scheduling order. Each parallel_for() call waits only
+// for its own work: the caller drains the loop's cursor itself, then waits
+// for the helpers that actually joined this loop. So a parallel_for()
+// nested in a task of the same pool finishes even when every worker is
+// busy, and concurrent callers on one pool never wait for each other.
 #pragma once
 
 #include <atomic>
@@ -41,12 +43,10 @@ class ThreadPool {
   /// Enqueues a task; returns immediately.
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
   /// Runs fn(i) for all i in [0, n) across the pool (plus the calling
-  /// thread), blocking until complete. Exceptions from `fn` are rethrown
-  /// on the caller (first one wins).
+  /// thread), blocking until every index has run. Exceptions from `fn` are
+  /// rethrown on the caller (first one wins). Safe to nest inside a task of
+  /// the same pool and to call from several threads at once.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool (lazily constructed, sized to the machine).
@@ -59,8 +59,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
+#include <string>
 
 #include "antichain/enumerate.hpp"
 #include "graph/closure.hpp"
@@ -205,14 +207,37 @@ TEST(AntichainTest, MembersAreSortedAndValid) {
   }
 }
 
+/// Byte-identity of the arena enumerator (all-roots sequential and
+/// sharded) against the reference (copy-a-bitset-per-node) enumerator on
+/// one graph, over max_size 1..6 (every depth the size-max_size leaf pass
+/// can run at, and C ≥ node_count on small graphs, where it never runs),
+/// span limits {none, 0, 1, 2}, with and without member lists.
+void expect_matches_reference_sweep(const Dfg& g) {
+  const Levels lv = compute_levels(g);
+  const Reachability reach(g);
+  for (std::size_t max_size = 1; max_size <= 6; ++max_size)
+    for (const std::optional<int> span :
+         {std::optional<int>{}, std::optional<int>{0}, std::optional<int>{1},
+          std::optional<int>{2}})
+      for (const bool collect : {false, true}) {
+        SCOPED_TRACE(g.name() + " max_size " + std::to_string(max_size) + " span " +
+                     (span ? std::to_string(*span) : "none") +
+                     (collect ? " members" : ""));
+        const EnumerateOptions o = opts(max_size, span, collect);
+        const AntichainAnalysis ref = test::enumerate_antichains_reference(g, lv, reach, o);
+        for (const Entry entry : {Entry::AllRoots, Entry::Sharded})
+          test::expect_analysis_identical(ref, enumerate_whole(entry, g, lv, reach, o));
+      }
+}
+
 // The scratch-arena enumerator must be byte-identical to the reference
-// (copy-a-bitset-per-node) implementation across a seeded corpus: the
-// paper graph plus random DAGs, with and without members, sharded and
-// all-roots sequential, default and tight span limits.
+// across a seeded corpus: the paper graph, the 5-node running example
+// (max_size 5 == node_count, 6 > node_count) and random DAGs.
 TEST(AntichainTest, ArenaMatchesReferenceOnSeededCorpus) {
   std::vector<Dfg> corpus;
   corpus.push_back(workloads::paper_3dft());
   corpus.push_back(workloads::small_example());
+  ASSERT_EQ(corpus.back().node_count(), 5u);
   for (const std::uint64_t seed : {5u, 17u, 29u}) {
     workloads::LayeredDagOptions dag_options;
     dag_options.layers = 4;
@@ -220,20 +245,46 @@ TEST(AntichainTest, ArenaMatchesReferenceOnSeededCorpus) {
     dag_options.max_width = 6;
     corpus.push_back(workloads::random_layered_dag(seed, dag_options));
   }
+  for (const Dfg& g : corpus) expect_matches_reference_sweep(g);
+}
 
-  for (const Dfg& g : corpus) {
-    const Levels lv = compute_levels(g);
-    const Reachability reach(g);
-    for (const bool collect : {false, true})
-      for (const Entry entry : {Entry::AllRoots, Entry::Sharded})
-        for (const std::optional<int> span :
-             {std::optional<int>{}, std::optional<int>{1}}) {
-          const EnumerateOptions o = opts(4, span, collect);
-          const AntichainAnalysis ref = test::enumerate_antichains_reference(g, lv, reach, o);
-          const AntichainAnalysis arena = enumerate_whole(entry, g, lv, reach, o);
-          test::expect_analysis_identical(ref, arena);
-        }
+// More than 128 nodes: candidate masks span three words, and the first
+// candidate after a prefix's last member falls mid-word. Dense edges keep
+// the antichain population small.
+TEST(AntichainTest, ArenaMatchesReferenceAcrossMaskWords) {
+  workloads::LayeredDagOptions dag_options;
+  dag_options.layers = 40;
+  dag_options.min_width = 3;
+  dag_options.max_width = 5;
+  dag_options.edge_probability = 0.6;
+  dag_options.skip_edge_probability = 0.2;
+  const Dfg g = workloads::random_layered_dag(41, dag_options);
+  ASSERT_GT(g.node_count(), 2 * DynamicBitset::kWordBits);
+  expect_matches_reference_sweep(g);
+}
+
+// More than 64 colors, with color ids above 63 in use: the leaf pass's
+// per-color scratch is sized by the graph's color count. The nodes of a
+// random DAG cycle through the top 8 of 70 colors, so patterns repeat.
+TEST(AntichainTest, ArenaMatchesReferenceWithManyColors) {
+  workloads::LayeredDagOptions dag_options;
+  dag_options.layers = 5;
+  dag_options.min_width = 4;
+  dag_options.max_width = 7;
+  const Dfg shape = workloads::random_layered_dag(7, dag_options);
+  constexpr std::size_t kColors = 70;
+  Dfg g("many_colors");
+  for (std::size_t c = 0; c < kColors; ++c) {
+    std::string color_name = "k";
+    color_name += std::to_string(c);
+    g.intern_color(color_name);
   }
+  for (NodeId n = 0; n < shape.node_count(); ++n)
+    g.add_node(static_cast<ColorId>(kColors - 1 - n % 8));
+  for (NodeId n = 0; n < shape.node_count(); ++n)
+    for (const NodeId s : shape.succs(n)) g.add_edge(n, s);
+  ASSERT_EQ(g.color_count(), kColors);
+  expect_matches_reference_sweep(g);
 }
 
 // find() is a binary search over the sorted per_pattern vector; it must
@@ -263,51 +314,55 @@ TEST(AntichainTest, FindAgreesWithLinearScan) {
 }
 
 // The max_antichains limit must trip at the exact threshold, with the
-// chunked per-walk count batching: limit == total passes, limit ==
-// total - 1 throws — sharded, all-roots sequential, and through the
-// sharded entry point with an explicit shared counter.
+// chunked per-walk count batching (and, at max_size 5, the leaf pass's
+// bulk charges): limit == total passes, limit == total - 1 throws —
+// sharded, all-roots sequential, and through the sharded entry point with
+// an explicit shared counter.
 TEST(AntichainTest, MaxAntichainsLimitIsThresholdExact) {
   const Dfg g = workloads::paper_3dft();
   const Levels lv = compute_levels(g);
   const Reachability reach(g);
 
-  const std::uint64_t total = enumerate_antichains(g, lv, reach, opts(4)).total;
-  ASSERT_GT(total, 1u);
-
-  for (const Entry entry : {Entry::AllRoots, Entry::Sharded}) {
-    EnumerateOptions at = opts(4);
-    at.max_antichains = total;
-    EXPECT_EQ(enumerate_whole(entry, g, lv, reach, at).total, total);
-
-    EnumerateOptions below = at;
-    below.max_antichains = total - 1;
-    EXPECT_THROW(enumerate_whole(entry, g, lv, reach, below), std::runtime_error);
-  }
-
-  // Sharded path: two root partitions sharing one global counter.
   std::vector<NodeId> even_roots, odd_roots;
   for (NodeId r = 0; r < g.node_count(); ++r)
     (r % 2 == 0 ? even_roots : odd_roots).push_back(r);
 
-  {
-    EnumerateOptions o = opts(4);
-    o.max_antichains = total;
-    std::atomic<std::uint64_t> shared{0};
-    std::vector<AntichainAnalysis> parts;
-    parts.push_back(enumerate_antichain_roots(g, lv, reach, o, even_roots, &shared));
-    parts.push_back(enumerate_antichain_roots(g, lv, reach, o, odd_roots, &shared));
-    EXPECT_EQ(merge_antichain_analyses(std::move(parts), g.node_count()).total, total);
-  }
-  {
-    EnumerateOptions o = opts(4);
-    o.max_antichains = total - 1;
-    std::atomic<std::uint64_t> shared{0};
-    EXPECT_THROW(
-        {
-          (void)enumerate_antichain_roots(g, lv, reach, o, even_roots, &shared);
-          (void)enumerate_antichain_roots(g, lv, reach, o, odd_roots, &shared);
-        },
-        std::runtime_error);
+  for (const std::size_t max_size : {4u, 5u}) {
+    SCOPED_TRACE("max_size " + std::to_string(max_size));
+    const std::uint64_t total = enumerate_antichains(g, lv, reach, opts(max_size)).total;
+    ASSERT_GT(total, 1u);
+
+    for (const Entry entry : {Entry::AllRoots, Entry::Sharded}) {
+      EnumerateOptions at = opts(max_size);
+      at.max_antichains = total;
+      EXPECT_EQ(enumerate_whole(entry, g, lv, reach, at).total, total);
+
+      EnumerateOptions below = at;
+      below.max_antichains = total - 1;
+      EXPECT_THROW(enumerate_whole(entry, g, lv, reach, below), std::runtime_error);
+    }
+
+    // Sharded path: two root partitions sharing one global counter.
+    {
+      EnumerateOptions o = opts(max_size);
+      o.max_antichains = total;
+      std::atomic<std::uint64_t> shared{0};
+      std::vector<AntichainAnalysis> parts;
+      parts.push_back(enumerate_antichain_roots(g, lv, reach, o, even_roots, &shared));
+      parts.push_back(enumerate_antichain_roots(g, lv, reach, o, odd_roots, &shared));
+      EXPECT_EQ(merge_antichain_analyses(std::move(parts), g.node_count()).total, total);
+    }
+    {
+      EnumerateOptions o = opts(max_size);
+      o.max_antichains = total - 1;
+      std::atomic<std::uint64_t> shared{0};
+      EXPECT_THROW(
+          {
+            (void)enumerate_antichain_roots(g, lv, reach, o, even_roots, &shared);
+            (void)enumerate_antichain_roots(g, lv, reach, o, odd_roots, &shared);
+          },
+          std::runtime_error);
+    }
   }
 }
 
