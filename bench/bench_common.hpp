@@ -1,13 +1,16 @@
 // Shared helpers for the experiment harnesses: uniform headers, the
-// paper-vs-measured match column, and the machine-readable perf
+// paper-vs-measured match column, the paired timing sampler behind every
+// ratio gate (bench::paired_ratio), and the machine-readable perf
 // trajectory (bench::JsonReport / the reporting Gate below).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "io/json.hpp"
 
@@ -34,6 +37,73 @@ inline std::string match(double paper, double measured, double tol = 1e-9) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%+.1f", measured - paper);
   return buf;
+}
+
+/// The q-quantile (0 ≤ q ≤ 1) of `values` (non-empty), linearly
+/// interpolated.
+inline double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+/// (Q3 − Q1) / median of `values`: the relative spread reported beside a
+/// median.
+inline double relative_iqr(const std::vector<double>& values) {
+  return (quantile(values, 0.75) - quantile(values, 0.25)) / quantile(values, 0.5);
+}
+
+/// What paired_ratio() measured: each side's median ms per call, and the
+/// median and relative spread of the per-pair ratios b / a.
+struct PairedRatio {
+  double a_ms = 0.0;
+  double b_ms = 0.0;
+  double ratio = 0.0;
+  double spread = 0.0;
+};
+
+/// The one sampler behind the harnesses' ratio gates. Each contestant is
+/// a callable that runs its workload once and returns the milliseconds it
+/// timed (so it can leave setup such as constructing a fresh engine out
+/// of the clock). After one warm-up call of each, `pairs` (a, b) samples
+/// are taken back to back, alternating which side runs first so drift and
+/// co-scheduled load hit both sides of a pair alike. One sample repeats
+/// its side until the timed calls add up to at least 30 ms, so a workload
+/// too short to time grows to a timeable length, and records ms per call.
+/// The gate then reads the median of the per-pair ratios, never a
+/// best-of-N, and reports its spread beside it.
+template <typename A, typename B>
+PairedRatio paired_ratio(A&& a, B&& b, int pairs = 15) {
+  constexpr double kMinSampleMs = 30.0;
+  const auto sample = [](auto& side) {
+    double total_ms = 0.0;
+    int calls = 0;
+    do {
+      total_ms += side();
+      ++calls;
+    } while (total_ms < kMinSampleMs);
+    return total_ms / calls;
+  };
+  a();
+  b();
+  std::vector<double> a_ms, b_ms, ratios;
+  for (int pair = 0; pair < pairs; ++pair) {
+    double x = 0.0, y = 0.0;
+    if (pair % 2 == 0) {
+      x = sample(a);
+      y = sample(b);
+    } else {
+      y = sample(b);
+      x = sample(a);
+    }
+    a_ms.push_back(x);
+    b_ms.push_back(y);
+    ratios.push_back(y / x);
+  }
+  return {quantile(a_ms, 0.5), quantile(b_ms, 0.5), quantile(ratios, 0.5),
+          relative_iqr(ratios)};
 }
 
 /// Machine-readable bench emission: every harness writes one

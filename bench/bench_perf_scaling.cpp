@@ -9,12 +9,15 @@
 // roots) must beat the reference (copy-a-bitset-per-node) enumerator of
 // tests/reference_enumerate.hpp by ≥2× on the Fig. 5 span workload, with
 // byte-identical analysis output. The ratio is the median over paired,
-// interleaved (reference, arena) repetitions, and its spread is reported
-// beside it in the BENCH_perf_scaling.json trajectory.
+// interleaved (arena, reference) samples from bench::paired_ratio, and
+// its spread is reported beside it in the BENCH_perf_scaling.json
+// trajectory.
 //
 // It also records report-only trajectory cells for the §5.1 hot path: the
-// serial enumerate time of two heavy kernels, fir(32) and bitonic(16), at
-// C = 5 and span limit 1, where most antichains are size-C leaves.
+// serial enumerate time of three heavy kernels, fir(32), bitonic(16) and
+// iir(12), at C = 5 and span limit 1, where most antichains are size-C
+// leaves, and of a 70-color random DAG at C = 6, where most patterns
+// occur once.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,6 +30,7 @@
 #include "core/select.hpp"
 #include "graph/closure.hpp"
 #include "pattern/random.hpp"
+#include "many_colors_dag.hpp"
 #include "reference_enumerate.hpp"
 #include "util/timer.hpp"
 #include "workloads/corpus.hpp"
@@ -165,71 +169,62 @@ bool analyses_identical(const AntichainAnalysis& a, const AntichainAnalysis& b) 
   return true;
 }
 
-/// Wall time per call of `fn`, over `iterations` back-to-back calls.
-template <typename Fn>
-double seconds_per_call(Fn&& fn, int iterations) {
-  mpsched::Timer timer;
-  for (int i = 0; i < iterations; ++i) fn();
-  return timer.seconds() / iterations;
-}
-
-/// The q-quantile (0 ≤ q ≤ 1) of `values`, linearly interpolated.
-double quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
-}
-
 /// Report-only cells: one sequential enumerate_antichain_roots() walk over
-/// all roots of fir(32) and of bitonic(16), at C = 5 and span limit 1 (the
-/// SelectOptions defaults). Each repetition times both graphs back to
-/// back, alternating which runs first, so drift hits both alike; each
-/// graph's cell is the median over repetitions, with its IQR / median.
+/// all roots of fir(32), bitonic(16) and iir(12) at C = 5 and span limit 1
+/// (the SelectOptions defaults), and of many_colors_dag() at C = 6 with no
+/// span limit. Each repetition times every graph back to back, rotating
+/// which runs first, so drift hits all alike; each graph's cell is the
+/// median over repetitions, with its IQR / median.
 void record_heavy_enumeration_cells(bench::Gate& gate) {
   struct Kernel {
-    std::string spec;
+    std::string label;
     Dfg dfg;
+    EnumerateOptions options;
     Levels levels;
     Reachability reach;
     std::vector<NodeId> roots;
     std::vector<double> ms;
   };
+  EnumerateOptions defaults;
+  defaults.max_size = 5;
+  defaults.span_limit = 1;
+  EnumerateOptions c6;
+  c6.max_size = 6;
   std::vector<Kernel> kernels;
-  for (const std::string spec : {"fir(32)", "bitonic(16)"}) {
-    Dfg g = workloads::make_workload(spec);
+  const auto add = [&kernels](std::string label, Dfg g, const EnumerateOptions& options) {
     Levels lv = compute_levels(g);
     Reachability reach(g);
     std::vector<NodeId> roots = all_roots(g);
-    kernels.push_back({spec, std::move(g), std::move(lv), std::move(reach), std::move(roots), {}});
-  }
-  EnumerateOptions options;
-  options.max_size = 5;
-  options.span_limit = 1;
-  const auto walk_ms = [&options](const Kernel& k) {
+    kernels.push_back({std::move(label), std::move(g), options, std::move(lv), std::move(reach),
+                       std::move(roots), {}});
+  };
+  for (const std::string spec : {"fir(32)", "bitonic(16)", "iir(12)"})
+    add(spec + " C5 span1", workloads::make_workload(spec), defaults);
+  add("many-colors-70 C6", test::many_colors_dag(), c6);
+  const auto walk_ms = [](const Kernel& k) {
     mpsched::Timer timer;
     benchmark::DoNotOptimize(
-        enumerate_antichain_roots(k.dfg, k.levels, k.reach, options, k.roots));
-    return timer.seconds() * 1e3;
+        enumerate_antichain_roots(k.dfg, k.levels, k.reach, k.options, k.roots));
+    return timer.millis();
   };
 
-  // One warm-up pair sizes the run: up to 11 repetitions within ~1 s, at
+  // One warm-up round sizes the run: up to 11 repetitions within ~1 s, at
   // least 3 (sanitizer builds are an order of magnitude slower).
-  const double pair_ms = walk_ms(kernels[0]) + walk_ms(kernels[1]);
-  const int reps = std::clamp(static_cast<int>(1000.0 / std::max(pair_ms, 1e-3)), 3, 11);
+  double round_ms = 0.0;
+  for (const Kernel& k : kernels) round_ms += walk_ms(k);
+  const int reps = std::clamp(static_cast<int>(1000.0 / std::max(round_ms, 1e-3)), 3, 11);
   for (int rep = 0; rep < reps; ++rep)
     for (std::size_t i = 0; i < kernels.size(); ++i) {
-      Kernel& k = kernels[rep % 2 == 0 ? i : kernels.size() - 1 - i];
+      Kernel& k = kernels[(rep + i) % kernels.size()];
       k.ms.push_back(walk_ms(k));
     }
 
   for (const Kernel& k : kernels) {
-    const double median = quantile(k.ms, 0.5);
-    const double spread = (quantile(k.ms, 0.75) - quantile(k.ms, 0.25)) / median;
-    std::printf("%s, C = 5, span 1, serial enumerate: %.3f ms (median of %d; IQR/median %.3f)\n",
-                k.spec.c_str(), median, reps, spread);
-    gate.workload(k.spec + " C5 span1");
+    const double median = bench::quantile(k.ms, 0.5);
+    const double spread = bench::relative_iqr(k.ms);
+    std::printf("%s, serial enumerate: %.3f ms (median of %d; IQR/median %.3f)\n",
+                k.label.c_str(), median, reps, spread);
+    gate.workload(k.label);
     gate.info("serial enumerate ms", median);
     gate.info("serial enumerate ms spread (IQR / median)", spread);
   }
@@ -263,45 +258,24 @@ int run_enumeration_speedup_gate() {
   }
 
   const auto reference = [&] {
+    mpsched::Timer timer;
     benchmark::DoNotOptimize(test::enumerate_antichains_reference(g, lv, reach, options));
+    return timer.millis();
   };
   const auto arena = [&] {
+    mpsched::Timer timer;
     benchmark::DoNotOptimize(enumerate_antichain_roots(g, lv, reach, options, roots));
+    return timer.millis();
   };
+  const bench::PairedRatio timed = bench::paired_ratio(arena, reference);
 
-  // Calibrate the inner iteration count off the reference walk so one rep
-  // lasts ~50ms on any build type (Release and ASan/Debug legs both time
-  // meaningfully). Then time paired repetitions, alternating which kernel
-  // runs first, so drift and co-scheduled load hit both sides of a pair
-  // alike; the gate takes the median of the per-pair ratios.
-  const double once = std::max(seconds_per_call(reference, 1), 1e-6);
-  const int iterations = std::clamp(static_cast<int>(0.05 / once), 1, 200);
-  constexpr int kPairs = 15;
-  std::vector<double> ref_s, arena_s, ratios;
-  for (int pair = 0; pair < kPairs; ++pair) {
-    double r = 0.0, a = 0.0;
-    if (pair % 2 == 0) {
-      r = seconds_per_call(reference, iterations);
-      a = seconds_per_call(arena, iterations);
-    } else {
-      a = seconds_per_call(arena, iterations);
-      r = seconds_per_call(reference, iterations);
-    }
-    ref_s.push_back(r);
-    arena_s.push_back(a);
-    ratios.push_back(r / a);
-  }
-  const double speedup = quantile(ratios, 0.5);
-  const double spread = (quantile(ratios, 0.75) - quantile(ratios, 0.25)) / speedup;
-
-  std::printf("\nFig. 5 span workload, single shard, %d paired reps: reference %.3f ms, "
+  std::printf("\nFig. 5 span workload, single shard, paired samples: reference %.3f ms, "
               "arena %.3f ms, speedup %.2fx (median ratio; IQR/median %.3f)\n",
-              kPairs, quantile(ref_s, 0.5) * 1e3, quantile(arena_s, 0.5) * 1e3, speedup,
-              spread);
-  gate.info("reference enumerate ms", quantile(ref_s, 0.5) * 1e3);
-  gate.info("arena enumerate ms", quantile(arena_s, 0.5) * 1e3);
-  gate.check_min(2.0, speedup, "single-shard enumeration speedup (arena vs reference)");
-  gate.info("single-shard enumeration speedup spread (IQR / median)", spread);
+              timed.b_ms, timed.a_ms, timed.ratio, timed.spread);
+  gate.info("reference enumerate ms", timed.b_ms);
+  gate.info("arena enumerate ms", timed.a_ms);
+  gate.check_min(2.0, timed.ratio, "single-shard enumeration speedup (arena vs reference)");
+  gate.info("single-shard enumeration speedup spread (IQR / median)", timed.spread);
 
   record_heavy_enumeration_cells(gate);
   return gate.finish("perf scaling (arena enumerator identity + pinned >=2x speedup)");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <span>
 #include <unordered_map>
 
@@ -46,10 +45,19 @@ struct PatternKeyEq {
 
 /// One walk's accumulator; emitted in canonical order by emit_per_pattern().
 struct Accumulator {
+  /// Entry::successors before a Walker has given the entry a row.
+  static constexpr std::size_t kNeverExtended = SIZE_MAX;
+  static constexpr std::size_t kExtendedOnce = SIZE_MAX - 1;
+
   struct Entry {
     std::uint64_t count = 0;
     std::vector<std::uint64_t> node_frequency;
     std::vector<std::vector<NodeId>> members;
+    /// This entry's key in per_pattern (map keys never move).
+    const Pattern* pattern = nullptr;
+    /// Offset of this pattern's successor row in the Walker's arena, or
+    /// kNeverExtended / kExtendedOnce while no row is allocated.
+    std::size_t successors = kNeverExtended;
   };
   std::unordered_map<Pattern, Entry, PatternKeyHash, PatternKeyEq> per_pattern;
   std::vector<std::vector<std::uint64_t>> by_size_span;  // [size][span]
@@ -121,9 +129,15 @@ class CountBudget {
 /// lookup, the pattern count, the prefix members' h) is added once per
 /// color present. At the deepest level (size max_size, where most
 /// antichains live) that makes each antichain a handful of increments.
-/// The walk itself allocates nothing (pattern classification allocates
-/// only the first time a pattern is seen, plus the explicit member lists
-/// when collect_members is on).
+///
+/// The pattern lookup itself is mostly one array load: an entry that
+/// prefixes a second extend() pass gets a successor row in `successors_`,
+/// whose slot c caches the entry of pattern ∪ {c}. Only the first sighting
+/// of a (pattern, color) pair builds the key and probes the hash map, and
+/// a pattern that prefixes a single pass (most of them on many-color
+/// graphs) never pays for a row. The walk itself allocates nothing but
+/// those rows, the entry of each new pattern, and the explicit member
+/// lists when collect_members is on.
 class Walker {
  public:
   Walker(const SearchContext& ctx, Accumulator& acc)
@@ -141,7 +155,6 @@ class Walker {
     masks_.assign(max_depth_ * word_count_, 0);
     stack_.reserve(max_depth_);
     colors_.resize(max_depth_);
-    sorted_prefix_.resize(max_depth_ * max_depth_);
     groups_.resize(max_depth_ * color_count_);
     opened_.resize(max_depth_ * color_count_);
     // Hot-path caches: the color table snapshot skips dfg.color()'s
@@ -172,7 +185,7 @@ class Walker {
     span_rows_[1][0] += 1;
     acc_.total += 1;
     budget_.note();
-    extend(pm_of_[root], ctx_.levels.asap[root], ctx_.levels.alap[root]);
+    extend(entry, pm_of_[root], ctx_.levels.asap[root], ctx_.levels.alap[root]);
   }
 
   /// Publishes the last pending chunk (and trips the limit check if the
@@ -189,22 +202,29 @@ class Walker {
     std::uint64_t* freq = nullptr;
   };
 
-  /// Depth-first extension of the antichain `stack_`. `compat` is the AND
-  /// of parallel masks of all members (word_count_ words, tail bits zero);
-  /// only ids greater than the last member are probed, so each antichain
-  /// is produced exactly once (as its sorted id sequence). `max_asap`/
-  /// `min_alap` carry the members' span state (SpanTracker's fields,
-  /// inlined: the span of the set plus candidate `j` is max(max_asap,
-  /// asap[j]) - min(min_alap, alap[j]) clamped at 0, monotone in
-  /// membership — so a span overrun prunes the whole subtree). Each kept
-  /// extension is recorded here, grouped by color, and recursed into
-  /// unless it already has max_size members.
-  void extend(const Word* compat, int max_asap, int min_alap) {
+  /// Depth-first extension of the antichain `stack_`, whose pattern's
+  /// entry is `prefix`. `compat` is the AND of parallel masks of all
+  /// members (word_count_ words, tail bits zero); only ids greater than
+  /// the last member are probed, so each antichain is produced exactly
+  /// once (as its sorted id sequence). `max_asap`/`min_alap` carry the
+  /// members' span state (SpanTracker's fields, inlined: the span of the
+  /// set plus candidate `j` is max(max_asap, asap[j]) - min(min_alap,
+  /// alap[j]) clamped at 0, monotone in membership — so a span overrun
+  /// prunes the whole subtree). Each kept extension is recorded here,
+  /// grouped by color, and recursed into unless it already has max_size
+  /// members.
+  void extend(Accumulator::Entry& prefix, const Word* compat, int max_asap, int min_alap) {
     const std::size_t depth = stack_.size();
     if (depth >= ctx_.options.max_size) return;
     const std::size_t from = stack_.back() + 1;
     std::size_t wi = from / kWordBits;
     if (wi >= word_count_) return;
+    if (prefix.successors == Accumulator::kNeverExtended) {
+      prefix.successors = Accumulator::kExtendedOnce;
+    } else if (prefix.successors == Accumulator::kExtendedOnce) {
+      prefix.successors = successors_.size();
+      successors_.resize(successors_.size() + color_count_, nullptr);
+    }
     const int* asap = ctx_.levels.asap.data();
     const int* alap = ctx_.levels.alap.data();
     const int limit = ctx_.effective_span_limit;
@@ -214,9 +234,6 @@ class Walker {
     ColorGroup* groups = groups_.data() + (depth - 1) * color_count_;
     ColorId* opened = opened_.data() + (depth - 1) * color_count_;
     std::size_t opened_count = 0;
-    ColorId* prefix = sorted_prefix_.data() + (depth - 1) * max_depth_;
-    for (std::size_t i = 0; i < depth; ++i) prefix[i] = color_of_[stack_[i]];
-    std::sort(prefix, prefix + depth);
 
     std::uint64_t kept = 0;
     Word w = compat[wi] & (~Word{0} << (from % kWordBits));
@@ -233,7 +250,7 @@ class Walker {
         const ColorId c = color_of_[node];
         ColorGroup& group = groups[c];
         if (group.freq == nullptr) {
-          open_group(group, prefix, depth, c);
+          open_group(group, prefix, c);
           opened[opened_count++] = c;
         }
         group.count += 1;
@@ -250,7 +267,7 @@ class Walker {
           Word* next = masks_.data() + depth * word_count_;
           const Word* pm = pm_of_[node];
           for (std::size_t k = wi; k < word_count_; ++k) next[k] = compat[k] & pm[k];
-          extend(next, ma, mi);
+          extend(*group.entry, next, ma, mi);
         }
         stack_.pop_back();
       }
@@ -268,17 +285,27 @@ class Walker {
     budget_.note(kept);
   }
 
-  /// First kept extension of color `c` in a pass: looks up the pattern
-  /// `prefix` (sorted, `size` colors) ∪ {c} once for the whole pass.
-  void open_group(ColorGroup& group, const ColorId* prefix, std::size_t size, ColorId c) {
-    ColorId* colors = colors_.data();
-    const std::size_t at =
-        static_cast<std::size_t>(std::upper_bound(prefix, prefix + size, c) - prefix);
-    std::copy(prefix, prefix + at, colors);
-    colors[at] = c;
-    std::copy(prefix + at, prefix + size, colors + at + 1);
-    group.entry = &entry_for(std::span<const ColorId>(colors, size + 1));
-    group.freq = group.entry->node_frequency.data();
+  /// First kept extension of color `c` in a pass: finds the entry of
+  /// `prefix`'s pattern ∪ {c} once for the whole pass — from the prefix's
+  /// successor row when it has one, else (and then cached in the row) by
+  /// building the sorted key and probing the map. The row is indexed
+  /// afresh here, never held: deeper passes grow `successors_`.
+  void open_group(ColorGroup& group, Accumulator::Entry& prefix, ColorId c) {
+    const bool has_row = prefix.successors < Accumulator::kExtendedOnce;
+    Accumulator::Entry* entry = has_row ? successors_[prefix.successors + c] : nullptr;
+    if (entry == nullptr) {
+      const std::vector<ColorId>& base = prefix.pattern->colors();
+      const std::size_t at =
+          static_cast<std::size_t>(std::upper_bound(base.begin(), base.end(), c) - base.begin());
+      ColorId* colors = colors_.data();
+      std::copy(base.begin(), base.begin() + at, colors);
+      colors[at] = c;
+      std::copy(base.begin() + at, base.end(), colors + at + 1);
+      entry = &entry_for(std::span<const ColorId>(colors, base.size() + 1));
+      if (has_row) successors_[prefix.successors + c] = entry;
+    }
+    group.entry = entry;
+    group.freq = entry->node_frequency.data();
   }
 
   /// The accumulator entry for sorted `colors`, created (with its
@@ -292,6 +319,7 @@ class Walker {
                         Accumulator::Entry{})
                .first;
       it->second.node_frequency.assign(ctx_.dfg.node_count(), 0);
+      it->second.pattern = &it->first;
     }
     return it->second;
   }
@@ -305,30 +333,18 @@ class Walker {
   std::vector<Word> masks_;  // depth-major arena: one compat mask per depth
   std::vector<NodeId> stack_;
   std::vector<ColorId> colors_;  // open_group() scratch pattern
-  // Depth-major extend() scratch, one slot per prefix size: the prefix's
-  // sorted colors, a ColorGroup per color (sized by the graph's color
-  // count), and the colors the pass has opened.
-  std::vector<ColorId> sorted_prefix_;
+  // Successor rows, color_count_ slots each, appended as entries earn
+  // them (Entry::successors is the offset; a null slot is unseen yet).
+  std::vector<Accumulator::Entry*> successors_;
+  // Depth-major extend() scratch, one slot per prefix size: a ColorGroup
+  // per color (sized by the graph's color count), and the colors the pass
+  // has opened.
   std::vector<ColorGroup> groups_;
   std::vector<ColorId> opened_;
   std::vector<ColorId> color_of_;            // dfg color table snapshot
   std::vector<const Word*> pm_of_;           // parallel-mask word pointers
   std::vector<std::uint64_t*> span_rows_;    // by_size_span row pointers
 };
-
-/// Folds one partial per-pattern record into a merge entry.
-void accumulate_entry(Accumulator::Entry& dst, std::uint64_t count,
-                      const std::vector<std::uint64_t>& node_frequency,
-                      std::vector<std::vector<NodeId>>&& members,
-                      std::size_t node_count) {
-  dst.count += count;
-  if (dst.node_frequency.empty()) dst.node_frequency.assign(node_count, 0);
-  MPSCHED_REQUIRE(node_frequency.size() == node_count,
-                  "node_frequency does not match node_count");
-  for (std::size_t i = 0; i < node_count; ++i)
-    dst.node_frequency[i] += node_frequency[i];
-  for (auto& m : members) dst.members.push_back(std::move(m));
-}
 
 /// Precondition checks for a walk; returns the span limit clamped to
 /// ASAPmax (spans can never exceed it).
@@ -346,19 +362,26 @@ int validate_and_clamp_span(const Dfg& dfg, const Levels& levels,
                                         : span_cap;
 }
 
-/// Ordered merge map → the canonical sorted per_pattern vector. The single
-/// emission point for shards and merges keeps any partition's merged
-/// output bit-identical to a single-shard walk by construction.
-std::vector<PatternAntichains> emit_per_pattern(
-    std::map<Pattern, Accumulator::Entry>&& merged, bool sort_members) {
+/// One walk's accumulator → the canonical sorted per_pattern vector. Rows
+/// and member lists move; only the pattern key is copied. Must keep
+/// merge_antichain_analyses()'s order (Pattern::operator<) and its member
+/// rule (each pattern's member list sorted whenever members are collected).
+std::vector<PatternAntichains> emit_per_pattern(Accumulator& acc, bool sort_members) {
+  std::vector<Accumulator::Entry*> order;
+  order.reserve(acc.per_pattern.size());
+  for (auto& kv : acc.per_pattern) order.push_back(&kv.second);
+  std::sort(order.begin(), order.end(), [](const Accumulator::Entry* a,
+                                           const Accumulator::Entry* b) {
+    return *a->pattern < *b->pattern;
+  });
   std::vector<PatternAntichains> out;
-  out.reserve(merged.size());
-  for (auto& [pattern, entry] : merged) {
+  out.reserve(order.size());
+  for (Accumulator::Entry* entry : order) {
     PatternAntichains pa;
-    pa.pattern = pattern;
-    pa.antichain_count = entry.count;
-    pa.node_frequency = std::move(entry.node_frequency);
-    pa.members = std::move(entry.members);
+    pa.pattern = *entry->pattern;
+    pa.antichain_count = entry->count;
+    pa.node_frequency = std::move(entry->node_frequency);
+    pa.members = std::move(entry->members);
     if (sort_members) std::sort(pa.members.begin(), pa.members.end());
     out.push_back(std::move(pa));
   }
@@ -377,8 +400,9 @@ std::uint64_t AntichainAnalysis::count_with_span_at_most(std::size_t size, int l
 }
 
 const PatternAntichains* AntichainAnalysis::find(const Pattern& p) const {
-  // per_pattern is emitted sorted by Pattern::operator< (every emission
-  // path funnels through one ordered merge), so lookup is a binary search.
+  // Both emitters, emit_per_pattern() for one walk and
+  // merge_antichain_analyses() for sharded walks, sort per_pattern by
+  // Pattern::operator<, so lookup is a binary search.
   const auto it = std::lower_bound(
       per_pattern.begin(), per_pattern.end(), p,
       [](const PatternAntichains& entry, const Pattern& key) { return entry.pattern < key; });
@@ -433,9 +457,7 @@ AntichainAnalysis enumerate_antichain_roots(const Dfg& dfg, const Levels& levels
   AntichainAnalysis out;
   out.total = acc.total;
   out.count_by_size_span = std::move(acc.by_size_span);
-  std::map<Pattern, Accumulator::Entry> ordered;
-  for (auto& [pattern, entry] : acc.per_pattern) ordered[pattern] = std::move(entry);
-  out.per_pattern = emit_per_pattern(std::move(ordered), options.collect_members);
+  out.per_pattern = emit_per_pattern(acc, options.collect_members);
   return out;
 }
 
@@ -452,7 +474,12 @@ AntichainAnalysis merge_antichain_analyses(std::vector<AntichainAnalysis> parts,
   }
   out.count_by_size_span.assign(sizes, std::vector<std::uint64_t>(spans, 0));
 
-  std::map<Pattern, Accumulator::Entry> merged;
+  // Sorting the pooled records by pattern lines up every pattern's
+  // partial records, and each run folds into its first record. Sums
+  // commute, and the member lists are sorted at the end, so the order
+  // inside a run never shows in the output. Must keep emit_per_pattern()'s
+  // order (Pattern::operator<) and its member rule (sorted when collected).
+  std::vector<PatternAntichains*> records;
   bool any_members = false;
   for (AntichainAnalysis& part : parts) {
     out.total += part.total;
@@ -460,12 +487,33 @@ AntichainAnalysis merge_antichain_analyses(std::vector<AntichainAnalysis> parts,
       for (std::size_t k = 0; k < part.count_by_size_span[s].size(); ++k)
         out.count_by_size_span[s][k] += part.count_by_size_span[s][k];
     for (PatternAntichains& pa : part.per_pattern) {
+      MPSCHED_REQUIRE(pa.node_frequency.size() == node_count,
+                      "node_frequency does not match node_count");
       if (!pa.members.empty()) any_members = true;
-      accumulate_entry(merged[pa.pattern], pa.antichain_count, pa.node_frequency,
-                       std::move(pa.members), node_count);
+      records.push_back(&pa);
     }
   }
-  out.per_pattern = emit_per_pattern(std::move(merged), any_members);
+  std::sort(records.begin(), records.end(), [](const PatternAntichains* a,
+                                               const PatternAntichains* b) {
+    return a->pattern < b->pattern;
+  });
+  // Exact capacity: the merged analysis may live on in a cache.
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < records.size(); ++i)
+    if (i == 0 || !(records[i - 1]->pattern == records[i]->pattern)) ++distinct;
+  out.per_pattern.reserve(distinct);
+  for (std::size_t i = 0; i < records.size();) {
+    PatternAntichains merged = std::move(*records[i]);
+    for (++i; i < records.size() && records[i]->pattern == merged.pattern; ++i) {
+      PatternAntichains& pa = *records[i];
+      merged.antichain_count += pa.antichain_count;
+      for (std::size_t n = 0; n < node_count; ++n)
+        merged.node_frequency[n] += pa.node_frequency[n];
+      for (auto& m : pa.members) merged.members.push_back(std::move(m));
+    }
+    if (any_members) std::sort(merged.members.begin(), merged.members.end());
+    out.per_pattern.push_back(std::move(merged));
+  }
   return out;
 }
 

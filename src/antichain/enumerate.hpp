@@ -16,7 +16,12 @@
 // what depends on j (h(p̄, j) and its span bucket), and adds what depends
 // on j's color alone — the pattern lookup, the pattern's count and the
 // prefix members' h — once per color present. Antichains of the full size
-// C (most of them on real kernels) are thus counted, not visited.
+// C (most of them on real kernels) are thus counted, not visited. The
+// pattern lookup is itself mostly one array load: a pattern that prefixes
+// a second pass gets a successor row whose slot c holds the entry of
+// pattern ∪ {c}, so building the key and probing the hash map happen only
+// the first time a (pattern, color) pair is met. Each walk emits its
+// patterns by sorting pointers to its entries.
 //
 // Parallelism: the search forest is partitioned by the antichain's minimum
 // node id with partition_roots() — the one shard plan, shared with the
@@ -118,7 +123,8 @@ std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count, std::si
 /// Enumerates the subtrees rooted at each id in `roots` (all < node_count,
 /// duplicates forbidden), sequentially on the calling thread, on the
 /// arena walk (one preallocated mask stack, word-parallel candidate probe,
-/// per-prefix grouped accounting, chunk-batched limit checks). The max_antichains safety valve counts
+/// per-prefix grouped accounting, successor-row pattern lookups,
+/// chunk-batched limit checks). The max_antichains safety valve counts
 /// through `shared_count` when given, so a scheduler running many shards
 /// of one analysis keeps the limit global instead of per-shard; with
 /// nullptr the limit applies to this call alone.

@@ -10,6 +10,7 @@
 #include "antichain/enumerate.hpp"
 #include "graph/closure.hpp"
 #include "graph/levels.hpp"
+#include "many_colors_dag.hpp"
 #include "reference_enumerate.hpp"
 #include "test_util.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -263,27 +264,37 @@ TEST(AntichainTest, ArenaMatchesReferenceAcrossMaskWords) {
   expect_matches_reference_sweep(g);
 }
 
-// More than 64 colors, with color ids above 63 in use: the leaf pass's
-// per-color scratch is sized by the graph's color count. The nodes of a
-// random DAG cycle through the top 8 of 70 colors, so patterns repeat.
+// many_colors_dag(): 73 nodes drawing uniformly from 70 colors (51 in use;
+// 9.4k antichains in 7.3k patterns at C = 6). Nearly every color group is
+// opened by a first-sighting lookup, patterns that prefix a second pass
+// get their successor rows — growing the row arena — in the middle of the
+// enclosing passes, and color ids above 63 exercise the per-color scratch
+// sized by the graph's color count.
 TEST(AntichainTest, ArenaMatchesReferenceWithManyColors) {
-  workloads::LayeredDagOptions dag_options;
-  dag_options.layers = 5;
-  dag_options.min_width = 4;
-  dag_options.max_width = 7;
-  const Dfg shape = workloads::random_layered_dag(7, dag_options);
-  constexpr std::size_t kColors = 70;
-  Dfg g("many_colors");
-  for (std::size_t c = 0; c < kColors; ++c) {
-    std::string color_name = "k";
-    color_name += std::to_string(c);
-    g.intern_color(color_name);
-  }
-  for (NodeId n = 0; n < shape.node_count(); ++n)
-    g.add_node(static_cast<ColorId>(kColors - 1 - n % 8));
-  for (NodeId n = 0; n < shape.node_count(); ++n)
-    for (const NodeId s : shape.succs(n)) g.add_edge(n, s);
+  constexpr std::size_t kColors = test::kManyColors;
+  const Dfg g = test::many_colors_dag();
   ASSERT_EQ(g.color_count(), kColors);
+  std::vector<bool> used(kColors, false);
+  for (NodeId n = 0; n < g.node_count(); ++n) used[g.color(n)] = true;
+  ASSERT_GE(std::count(used.begin(), used.end(), true), 40);
+  ASSERT_TRUE(std::any_of(used.begin() + 64, used.end(), [](bool u) { return u; }));
+  expect_matches_reference_sweep(g);
+}
+
+// A deep walk over 3 colors (38 nodes, 21k antichains in 75 patterns at
+// C = 6): a pattern averages 280 antichains, each one below size 6 the
+// prefix of a pass, so nearly every color group is opened through a
+// successor row rather than a map probe.
+TEST(AntichainTest, ArenaMatchesReferenceOnDeepFewColorWalk) {
+  workloads::LayeredDagOptions dag_options;
+  dag_options.layers = 6;
+  dag_options.min_width = 5;
+  dag_options.max_width = 8;
+  dag_options.edge_probability = 0.3;
+  const Dfg g = workloads::random_layered_dag(5, dag_options);
+  ASSERT_EQ(g.color_count(), 3u);
+  const AntichainAnalysis deepest = enumerate_antichains(g, opts(6));
+  ASSERT_GT(deepest.total, 100 * deepest.per_pattern.size());
   expect_matches_reference_sweep(g);
 }
 
